@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/cluster.hpp"
+#include "harness/many_locks_cluster.hpp"
 
 namespace hlock {
 namespace {
@@ -60,8 +61,10 @@ TEST(Determinism, DifferentSeedsDiverge) {
 }
 
 // Constants recorded from the seed build (pre-optimization revision) at
-// n=24, ops_per_node=40, default seed. A mismatch means an "optimization"
-// changed observable behavior, not just speed.
+// n=24, ops_per_node=40, default seed; the Naimi same-work and forest
+// constants were recorded later, before the session state machines were
+// merged into SessionMux. A mismatch means an "optimization" changed
+// observable behavior, not just speed.
 TEST(SeedRegression, HlsFig5Counts) {
   const ExperimentResult r = run_once<HlsCluster>(fig5_config());
   EXPECT_EQ(r.messages, 5151u);
@@ -81,6 +84,61 @@ TEST(SeedRegression, NaimiFig5Counts) {
   EXPECT_EQ(r.virtual_end, 157215059);
   EXPECT_EQ(r.messages_by_kind.get("naimi_request"), 2573u);
   EXPECT_EQ(r.messages_by_kind.get("naimi_token"), 960u);
+}
+
+TEST(SeedRegression, NaimiSameWorkFig5Counts) {
+  const ExperimentResult r = run_once<NaimiCluster>(fig5_config(), false);
+  EXPECT_EQ(r.messages, 16400u);
+  EXPECT_EQ(r.wire_bytes, 967600u);
+  EXPECT_EQ(r.virtual_end, 2332056134);
+  EXPECT_EQ(r.lock_requests, 4801u);
+  EXPECT_EQ(r.messages_by_kind.get("naimi_request"), 12287u);
+  EXPECT_EQ(r.messages_by_kind.get("naimi_token"), 4113u);
+}
+
+/// A small forest: 6 trees of 4 levels, 3 nodes each, Zipf-skewed pages.
+harness::ManyLocksResult run_forest(double cross_tree_pct) {
+  harness::ManyLocksConfig config;
+  config.nodes = 3;
+  config.trees = 6;
+  config.levels = 4;
+  config.spec.lock_count = 6 * 200;
+  config.spec.zipf_theta = 0.9;
+  config.spec.ops_per_node = 12;
+  config.spec.seed = 0xf00d;
+  config.cross_tree_pct = cross_tree_pct;
+  harness::ManyLocksCluster cluster(config);
+  cluster.run();
+  return cluster.result();
+}
+
+TEST(SeedRegression, ForestCounts) {
+  const harness::ManyLocksResult r = run_forest(0.0);
+  EXPECT_EQ(r.ops, 216u);
+  EXPECT_EQ(r.messages, 1323u);
+  EXPECT_EQ(r.wire_bytes, 78057u);
+  EXPECT_EQ(r.virtual_end, 14468453);
+  EXPECT_EQ(r.lock_requests, 843u);
+  EXPECT_EQ(r.messages_by_kind.get("request"), 620u);
+  EXPECT_EQ(r.messages_by_kind.get("grant"), 158u);
+  EXPECT_EQ(r.messages_by_kind.get("token"), 370u);
+  EXPECT_EQ(r.messages_by_kind.get("release"), 175u);
+  EXPECT_EQ(r.messages_by_kind.get("freeze"), 0u);
+}
+
+TEST(SeedRegression, CoupledForestCounts) {
+  const harness::ManyLocksResult r = run_forest(10.0);
+  EXPECT_EQ(r.ops, 216u);
+  EXPECT_EQ(r.cross_tree_ops, 13u);
+  EXPECT_EQ(r.messages, 1462u);
+  EXPECT_EQ(r.wire_bytes, 86258u);
+  EXPECT_EQ(r.virtual_end, 16670125);
+  EXPECT_EQ(r.lock_requests, 889u);
+  EXPECT_EQ(r.messages_by_kind.get("request"), 687u);
+  EXPECT_EQ(r.messages_by_kind.get("grant"), 187u);
+  EXPECT_EQ(r.messages_by_kind.get("token"), 386u);
+  EXPECT_EQ(r.messages_by_kind.get("release"), 202u);
+  EXPECT_EQ(r.messages_by_kind.get("freeze"), 0u);
 }
 
 }  // namespace
