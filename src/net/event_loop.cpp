@@ -71,7 +71,13 @@ void EventLoop::drain_posted() {
 }
 
 void EventLoop::fire_due_timers() {
-  while (!timers_.empty() && timers_.top().due <= now()) {
+  // Only timers that were due when the pass began: a callback that
+  // re-arms itself with zero delay must wait for the next pass, or it
+  // would starve polling and posted tasks for as long as it keeps going.
+  const TimePoint pass_now = now();
+  const std::uint64_t pass_seq = timer_seq_;
+  while (!timers_.empty() && timers_.top().due <= pass_now &&
+         timers_.top().seq < pass_seq) {
     auto fn = timers_.top().fn;
     const std::uint64_t id = timers_.top().seq;
     timers_.pop();

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <thread>
 
 #include "net/cluster.hpp"
@@ -225,6 +226,33 @@ TEST(EventLoop, CancellableTimersCanBeCancelledBeforeFiring) {
   });
   t.join();
   EXPECT_EQ(fired, (std::vector<int>{2}));
+}
+
+TEST(EventLoop, SelfReArmingZeroDelayTimerDoesNotStarvePostedTasks) {
+  // A closed-loop client whose grants are all local re-arms a zero-delay
+  // timer from inside its own callback. Each pass must fire only the
+  // timers already due, so a task posted before the chain began still
+  // runs while the chain is going.
+  constexpr std::uint64_t kRounds = 1'000'000;
+  EventLoop loop;
+  std::uint64_t rounds = 0;
+  std::uint64_t seen_at = 0;
+  std::function<void()> tick = [&] {
+    if (++rounds < kRounds) {
+      loop.schedule(0, tick);
+    } else {
+      loop.stop();
+    }
+  };
+  std::thread t([&] { loop.run(); });
+  loop.post([&] {
+    loop.post([&] { seen_at = rounds; });
+    loop.schedule(0, tick);
+  });
+  t.join();
+  EXPECT_EQ(rounds, kRounds);
+  EXPECT_GT(seen_at, 0u);
+  EXPECT_LT(seen_at, kRounds);
 }
 
 TEST(TcpCluster, MeshDeliversMessagesBothDirections) {
