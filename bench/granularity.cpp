@@ -28,7 +28,7 @@
 #include "harness/experiment.hpp"
 #include "harness/sim_executor.hpp"
 #include "lockmgr/hierarchy.hpp"
-#include "lockmgr/plan_session.hpp"
+#include "lockmgr/session_mux.hpp"
 #include "sim/simnet.hpp"
 #include "sim/simulator.hpp"
 
@@ -75,7 +75,7 @@ RunStats run_grain(Grain grain) {
 
   std::vector<std::unique_ptr<sim::SimTransport>> transports;
   std::vector<std::unique_ptr<core::HlsNode>> nodes;
-  std::vector<std::unique_ptr<lockmgr::PlanSession>> sessions;
+  std::vector<std::unique_ptr<lockmgr::SessionMux>> sessions;
   for (std::size_t i = 0; i < kNodes; ++i) {
     const NodeId id{static_cast<std::uint32_t>(i)};
     transports.push_back(std::make_unique<sim::SimTransport>(net, id));
@@ -89,7 +89,7 @@ RunStats run_grain(Grain grain) {
   }
   for (std::size_t i = 0; i < kNodes; ++i) {
     sessions.push_back(
-        std::make_unique<lockmgr::PlanSession>(*nodes[i], exec));
+        std::make_unique<lockmgr::SessionMux>(*nodes[i], exec, 1));
   }
 
   RunStats stats;
@@ -138,12 +138,12 @@ RunStats run_grain(Grain grain) {
                            static_cast<Duration>(node_rng[i].exponential(
                                static_cast<double>(msec(100))))),
         [&, i] {
-          auto plan = plan_for(node_rng[i]);
+          lockmgr::Plan plan{plan_for(node_rng[i])};
           const Duration cs = std::max<Duration>(
               usec(100), static_cast<Duration>(node_rng[i].exponential(
                              static_cast<double>(msec(50)))));
-          sessions[i]->run(std::move(plan), cs,
-                           [&, i](const lockmgr::PlanSession::Result& r) {
+          sessions[i]->run(0, std::move(plan), lockmgr::Op{.cs = cs},
+                           [&, i](const lockmgr::OpStats& r) {
                              stats.latency_ms.add(to_ms(r.acquire_latency));
                              stats.lock_requests += r.lock_requests;
                              next_op(i);

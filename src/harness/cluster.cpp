@@ -91,8 +91,6 @@ void ClusterBase::register_inbound(
 }
 
 void ClusterBase::run() {
-  if (sessions_.size() != config_.nodes)
-    throw std::logic_error("sessions not initialized");
   for (std::size_t i = 0; i < config_.nodes; ++i) kick_node(i);
   sim_.run_all();
 
@@ -113,7 +111,7 @@ void ClusterBase::kick_node(std::size_t i) {
 
 void ClusterBase::run_one_op(std::size_t i) {
   const lockmgr::Op op = generators_[i]->next();
-  sessions_[i]->start(op, [this, i](const lockmgr::OpStats& stats) {
+  start_op(i, op, [this, i](const lockmgr::OpStats& stats) {
     ++completed_;
     --remaining_[i];
     lock_requests_ += stats.lock_requests;
@@ -178,9 +176,14 @@ HlsCluster::HlsCluster(const ClusterConfig& config)
     nodes_.push_back(std::move(node));
   }
   for (std::size_t i = 0; i < config.nodes; ++i) {
-    sessions_.push_back(
-        std::make_unique<lockmgr::HierSession>(*nodes_[i], layout_, exec_));
+    muxes_.push_back(
+        std::make_unique<lockmgr::SessionMux>(*nodes_[i], layout_, exec_, 1));
   }
+}
+
+void HlsCluster::start_op(std::size_t i, const lockmgr::Op& op,
+                          lockmgr::DoneFn done) {
+  muxes_[i]->start(0, op, std::move(done));
 }
 
 NaimiCluster::NaimiCluster(const ClusterConfig& config, bool pure)
@@ -201,15 +204,25 @@ NaimiCluster::NaimiCluster(const ClusterConfig& config, bool pure)
                      [n = node.get()](const Message& m) { n->handle(m); });
     nodes_.push_back(std::move(node));
   }
-  for (std::size_t i = 0; i < config.nodes; ++i) {
-    if (pure) {
-      sessions_.push_back(std::make_unique<lockmgr::NaimiPureSession>(
-          *nodes_[i], LockId{0}, exec_));
-    } else {
-      sessions_.push_back(std::make_unique<lockmgr::NaimiOrderedSession>(
-          *nodes_[i], layout_, exec_));
-    }
+  lockmgr::NaimiSessionMux::Planner planner;
+  if (pure) {
+    planner = [](const lockmgr::Op&, lockmgr::Plan& out) {
+      lockmgr::naimi_pure_plan(LockId{0}, out);
+    };
+  } else {
+    planner = [this](const lockmgr::Op& op, lockmgr::Plan& out) {
+      lockmgr::naimi_same_work_plan(layout_, op, out);
+    };
   }
+  for (std::size_t i = 0; i < config.nodes; ++i) {
+    muxes_.push_back(std::make_unique<lockmgr::NaimiSessionMux>(
+        *nodes_[i], exec_, 1, planner));
+  }
+}
+
+void NaimiCluster::start_op(std::size_t i, const lockmgr::Op& op,
+                            lockmgr::DoneFn done) {
+  muxes_[i]->start(0, op, std::move(done));
 }
 
 }  // namespace hlock::harness

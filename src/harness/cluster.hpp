@@ -15,7 +15,7 @@
 #include "harness/metrics.hpp"
 #include "harness/sim_executor.hpp"
 #include "lockmgr/resource.hpp"
-#include "lockmgr/session.hpp"
+#include "lockmgr/session_mux.hpp"
 #include "naimi/naimi_node.hpp"
 #include "sim/reliable.hpp"
 #include "sim/simnet.hpp"
@@ -81,11 +81,10 @@ class ClusterBase {
   std::function<void(NodeId, const lockmgr::OpStats&)> on_op_done;
 
  protected:
-  [[nodiscard]] lockmgr::Session& session(std::size_t i) {
-    return *sessions_[i];
-  }
-  /// Subclasses fill sessions_ (one per node) in their constructors.
-  std::vector<std::unique_ptr<lockmgr::Session>> sessions_;
+  /// Execute `op` on node `i`'s single session; `done` fires after every
+  /// lock has been released.
+  virtual void start_op(std::size_t i, const lockmgr::Op& op,
+                        lockmgr::DoneFn done) = 0;
 
   ClusterConfig config_;
   sim::Simulator sim_;
@@ -133,7 +132,11 @@ class HlsCluster final : public detail::ClusterBase {
   }
 
  private:
+  void start_op(std::size_t i, const lockmgr::Op& op,
+                lockmgr::DoneFn done) override;
+
   std::vector<std::unique_ptr<core::HlsNode>> nodes_;
+  std::vector<std::unique_ptr<lockmgr::SessionMux>> muxes_;
 };
 
 /// Naimi baseline, "same work" (ordered entry-lock acquisition) or "pure"
@@ -145,7 +148,11 @@ class NaimiCluster final : public detail::ClusterBase {
   [[nodiscard]] naimi::NaimiNode& node(std::size_t i) { return *nodes_[i]; }
 
  private:
+  void start_op(std::size_t i, const lockmgr::Op& op,
+                lockmgr::DoneFn done) override;
+
   std::vector<std::unique_ptr<naimi::NaimiNode>> nodes_;
+  std::vector<std::unique_ptr<lockmgr::NaimiSessionMux>> muxes_;
 };
 
 }  // namespace hlock::harness

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
-#include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -48,15 +48,15 @@ struct ManyLocksCluster::TreeState {
   SimExecutor exec;
   std::vector<std::unique_ptr<sim::SimTransport>> transports;
   std::vector<std::unique_ptr<core::HlsNode>> nodes;
-  std::vector<std::unique_ptr<lockmgr::PlanSession>> sessions;
+  /// One single-session mux per node.
+  std::vector<std::unique_ptr<lockmgr::SessionMux>> sessions;
   std::vector<workload::ForestOpGen> gens;
   std::vector<std::uint32_t> remaining;
 
   // --- multi-tree transaction state (built only when coupling is on) ---
-  /// Locks the gateway still holds for a remote transaction's leg.
+  /// The remote transaction's leg whose locks the gateway session holds.
   struct HeldLeg {
-    std::vector<lockmgr::PlanStep> plan;
-    std::vector<RequestId> held;
+    std::uint64_t leg_id{0};
     std::uint32_t req_tree{0};
     std::size_t req_node{0};
   };
@@ -67,10 +67,9 @@ struct ManyLocksCluster::TreeState {
   std::uint64_t cross_completed{0};
   std::unique_ptr<sim::SimTransport> gw_transport;
   std::unique_ptr<core::HlsNode> gw_node;
-  std::unique_ptr<lockmgr::PlanSession> gw_session;
-  bool gw_busy{false};
+  std::unique_ptr<lockmgr::SessionMux> gw_session;
   std::deque<std::shared_ptr<CrossFlight>> gw_queue;
-  std::map<std::uint64_t, HeldLeg> gw_held;
+  std::optional<HeldLeg> gw_held;
   /// Per local node: partner tree index while a gateway leg of ours is
   /// outstanding (posted but not yet replied), else -1. Feeds the
   /// cross-tree wait edges.
@@ -157,8 +156,8 @@ ManyLocksCluster::ManyLocksCluster(const ManyLocksConfig& config)
       tree->gens.emplace_back(config.spec, zipf_, Rng(mix(mix(seed, t), i)));
     }
     for (std::uint32_t i = 0; i < nodes; ++i) {
-      tree->sessions.push_back(std::make_unique<lockmgr::PlanSession>(
-          *tree->nodes[i], tree->exec));
+      tree->sessions.push_back(std::make_unique<lockmgr::SessionMux>(
+          *tree->nodes[i], tree->exec, 1));
     }
     if (coupling_) {
       // The gateway is an extra protocol participant with local id
@@ -180,7 +179,7 @@ ManyLocksCluster::ManyLocksCluster(const ManyLocksConfig& config)
           gw_id, [n = gw.get()](const Message& m) { n->handle(m); });
       tree->gw_node = std::move(gw);
       tree->gw_session =
-          std::make_unique<lockmgr::PlanSession>(*tree->gw_node, tree->exec);
+          std::make_unique<lockmgr::SessionMux>(*tree->gw_node, tree->exec, 1);
     }
     tree->remaining.assign(config.nodes, config.spec.ops_per_node);
     trees_.push_back(std::move(tree));
@@ -203,11 +202,11 @@ void ManyLocksCluster::run_one_op(TreeState& tree, std::size_t node) {
     start_cross_op(tree, node, op);
     return;
   }
-  std::vector<lockmgr::PlanStep> plan;
-  workload::ForestOpGen::plan_for(layout_, op, plan);
+  lockmgr::Plan plan;
+  workload::ForestOpGen::plan_for(layout_, op, plan.steps);
   tree.sessions[node]->run(
-      std::move(plan), op.cs,
-      [this, &tree, node](const lockmgr::PlanSession::Result& r) {
+      0, std::move(plan), lockmgr::Op{.cs = op.cs},
+      [this, &tree, node](const lockmgr::OpStats& r) {
         ++tree.completed;
         --tree.remaining[node];
         tree.lock_requests += r.lock_requests;
@@ -255,14 +254,14 @@ void ManyLocksCluster::start_cross_op(TreeState& tree, std::size_t node,
 
   if (fl->home_first) {
     tree.sessions[node]->acquire(
-        fl->home_plan, [this, fl](const lockmgr::PlanSession::Result& r) {
+        0, fl->home_plan, [this, fl](const lockmgr::OpStats& r) {
           fl->lock_requests += r.lock_requests;
           post_leg(fl, [this, fl] { begin_dwell(fl); });
         });
   } else {
     post_leg(fl, [this, fl] {
       fl->home->sessions[fl->node]->acquire(
-          fl->home_plan, [this, fl](const lockmgr::PlanSession::Result& r) {
+          0, fl->home_plan, [this, fl](const lockmgr::OpStats& r) {
             fl->lock_requests += r.lock_requests;
             begin_dwell(fl);
           });
@@ -285,27 +284,21 @@ void ManyLocksCluster::post_leg(const std::shared_ptr<CrossFlight>& fl,
 }
 
 void ManyLocksCluster::gateway_pump(TreeState& tree) {
-  // One leg at a time, FIFO — and not before every previously acquired
-  // leg has been released: concurrent legs always share at least the top
-  // lock, and an engine cannot hold a lock twice. The gateway "waiting"
-  // for a dwelling transaction is finite by itself; the genuine deadlock
-  // risk (hold-and-wait ACROSS trees) lives in the requesters and is what
-  // the wait-for graph tracks.
-  if (tree.gw_busy || !tree.gw_held.empty() || tree.gw_queue.empty()) return;
-  tree.gw_busy = true;
+  // One leg at a time, FIFO — the gateway session stays busy from a leg's
+  // acquisition until its release: concurrent legs always share at least
+  // the top lock, and an engine cannot hold a lock twice. The gateway
+  // "waiting" for a dwelling transaction is finite by itself; the genuine
+  // deadlock risk (hold-and-wait ACROSS trees) lives in the requesters and
+  // is what the wait-for graph tracks.
+  if (tree.gw_session->busy(0) || tree.gw_queue.empty()) return;
   std::shared_ptr<CrossFlight> fl = std::move(tree.gw_queue.front());
   tree.gw_queue.pop_front();
   tree.gw_session->acquire(
-      fl->remote_plan, [this, fl](const lockmgr::PlanSession::Result& r) {
+      0, fl->remote_plan, [this, fl](const lockmgr::OpStats& r) {
         TreeState& remote = *fl->remote;
-        TreeState::HeldLeg leg;
-        leg.plan = fl->remote_plan;
-        leg.held = remote.gw_session->detach();
-        leg.req_tree = fl->home->index;
-        leg.req_node = fl->node;
-        remote.gw_held.emplace(fl->leg_id, std::move(leg));
+        remote.gw_held = TreeState::HeldLeg{fl->leg_id, fl->home->index,
+                                            fl->node};
         fl->lock_requests += r.lock_requests;
-        remote.gw_busy = false;
         // Reply: the requester resumes on its own shard, one hop later.
         sharded_.post(remote.shard, fl->home->shard,
                       remote.sim->now() + sample_hop(remote), make_key(remote),
@@ -319,13 +312,10 @@ void ManyLocksCluster::gateway_pump(TreeState& tree) {
 }
 
 void ManyLocksCluster::gateway_release(TreeState& tree, std::uint64_t leg_id) {
-  const auto it = tree.gw_held.find(leg_id);
-  if (it == tree.gw_held.end())
+  if (!tree.gw_held || tree.gw_held->leg_id != leg_id)
     throw std::logic_error("release for an unknown cross-tree leg");
-  const TreeState::HeldLeg& leg = it->second;
-  for (std::size_t i = leg.plan.size(); i-- > 0;)
-    tree.gw_node->engine(leg.plan[i].lock).unlock(leg.held[i]);
-  tree.gw_held.erase(it);
+  tree.gw_session->release(0);
+  tree.gw_held.reset();
   gateway_pump(tree);
 }
 
@@ -344,7 +334,7 @@ void ManyLocksCluster::finish_cross_op(const std::shared_ptr<CrossFlight>& fl) {
   sharded_.post(home.shard, remote.shard, home.sim->now() + sample_hop(home),
                 make_key(home),
                 [this, fl] { gateway_release(*fl->remote, fl->leg_id); });
-  home.sessions[fl->node]->release();
+  home.sessions[fl->node]->release(0);
 
   ++home.completed;
   ++home.cross_completed;
@@ -434,9 +424,9 @@ lockmgr::WaitForGraph ManyLocksCluster::wait_graph() const {
                  static_cast<std::uint32_t>(config_.nodes)});
     }
     const NodeId gw{base + static_cast<std::uint32_t>(config_.nodes)};
-    for (const auto& [leg_id, leg] : tree->gw_held) {
-      graph.add_edge(gw, NodeId{leg.req_tree * stride +
-                                static_cast<std::uint32_t>(leg.req_node)});
+    if (const auto& leg = tree->gw_held) {
+      graph.add_edge(gw, NodeId{leg->req_tree * stride +
+                                static_cast<std::uint32_t>(leg->req_node)});
     }
   }
   return graph;

@@ -36,7 +36,7 @@
 #include "core/hls_node.hpp"
 #include "harness/metrics.hpp"
 #include "harness/sim_executor.hpp"
-#include "lockmgr/plan_session.hpp"
+#include "lockmgr/session_mux.hpp"
 #include "lockmgr/waitgraph.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simnet.hpp"

@@ -145,7 +145,7 @@ TEST(DeadlockMonitor, DetectsCrossLockOrderingDeadlock) {
   const std::string report = harness::describe_deadlock(cluster);
   ASSERT_NE(report, "");
   EXPECT_NE(report.find("deadlock cycle"), std::string::npos);
-  // Ordered acquisition (what NaimiOrderedSession and well-behaved apps
+  // Ordered acquisition (what naimi_same_work_plan and well-behaved apps
   // do) would have prevented this; the protocol itself stayed safe.
   EXPECT_EQ(harness::check_safety(cluster), "");
 }

@@ -1,4 +1,4 @@
-// Multi-level hierarchy and PlanSession tests: lock-plan computation,
+// Multi-level hierarchy and lock-plan execution tests: lock-plan computation,
 // intent-mode selection, and end-to-end 3-level runs on the simulator
 // with the safety probe.
 #include <gtest/gtest.h>
@@ -7,7 +7,7 @@
 
 #include "harness/sim_executor.hpp"
 #include "lockmgr/hierarchy.hpp"
-#include "lockmgr/plan_session.hpp"
+#include "lockmgr/session_mux.hpp"
 #include "sim/simnet.hpp"
 #include "sim/simulator.hpp"
 
@@ -118,7 +118,7 @@ struct PlanFixture {
       });
     }
     for (auto& n : nodes) {
-      sessions.push_back(std::make_unique<PlanSession>(*n, exec));
+      sessions.push_back(std::make_unique<SessionMux>(*n, exec, 1));
     }
   }
 
@@ -128,19 +128,24 @@ struct PlanFixture {
   Hierarchy hierarchy;
   std::vector<std::unique_ptr<sim::SimTransport>> transports;
   std::vector<std::unique_ptr<core::HlsNode>> nodes;
-  std::vector<std::unique_ptr<PlanSession>> sessions;
+  std::vector<std::unique_ptr<SessionMux>> sessions;
 };
 
-TEST(PlanSession, ExecutesThreeLevelPlan) {
+void run_plan(SessionMux& mux, std::vector<PlanStep> steps, Duration cs,
+              DoneFn done) {
+  mux.run(0, Plan{std::move(steps)}, Op{.cs = cs}, std::move(done));
+}
+
+TEST(SessionMuxPlans, ExecutesThreeLevelPlan) {
   PlanFixture f;
   bool done = false;
   f.sim.schedule_at(0, [&] {
-    f.sessions[1]->run(lock_plan(f.hierarchy, ResourceId{3}, Mode::kW),
-                       msec(5), [&](const PlanSession::Result& r) {
-                         EXPECT_EQ(r.lock_requests, 3u);
-                         EXPECT_GT(r.acquire_latency, 0);
-                         done = true;
-                       });
+    run_plan(*f.sessions[1], lock_plan(f.hierarchy, ResourceId{3}, Mode::kW),
+             msec(5), [&](const OpStats& r) {
+               EXPECT_EQ(r.lock_requests, 3u);
+               EXPECT_GT(r.acquire_latency, 0);
+               done = true;
+             });
   });
   f.sim.run_all();
   EXPECT_TRUE(done);
@@ -152,22 +157,16 @@ TEST(PlanSession, ExecutesThreeLevelPlan) {
   }
 }
 
-TEST(PlanSession, DisjointRowWritersOverlap) {
+TEST(SessionMuxPlans, DisjointRowWritersOverlap) {
   PlanFixture f;
-  TimePoint acquired1 = 0, acquired2 = 0, done1 = 0, done2 = 0;
+  TimePoint done1 = 0, done2 = 0;
   f.sim.schedule_at(0, [&] {
-    f.sessions[1]->run(lock_plan(f.hierarchy, ResourceId{3}, Mode::kW),
-                       msec(200), [&](const PlanSession::Result& r) {
-                         acquired1 = r.acquire_latency;
-                         done1 = f.sim.now();
-                       });
+    run_plan(*f.sessions[1], lock_plan(f.hierarchy, ResourceId{3}, Mode::kW),
+             msec(200), [&](const OpStats&) { done1 = f.sim.now(); });
   });
   f.sim.schedule_at(0, [&] {
-    f.sessions[2]->run(lock_plan(f.hierarchy, ResourceId{5}, Mode::kW),
-                       msec(200), [&](const PlanSession::Result& r) {
-                         acquired2 = r.acquire_latency;
-                         done2 = f.sim.now();
-                       });
+    run_plan(*f.sessions[2], lock_plan(f.hierarchy, ResourceId{5}, Mode::kW),
+             msec(200), [&](const OpStats&) { done2 = f.sim.now(); });
   });
   f.sim.run_all();
   ASSERT_GT(done1, 0);
@@ -178,15 +177,16 @@ TEST(PlanSession, DisjointRowWritersOverlap) {
   EXPECT_LT(std::max(done1, done2), msec(200) * 2);
 }
 
-TEST(PlanSession, SameRowWritersSerialize) {
+TEST(SessionMuxPlans, SameRowWritersSerialize) {
   PlanFixture f;
   TimePoint done1 = 0, done2 = 0;
   for (const std::size_t who : {std::size_t{1}, std::size_t{2}}) {
     f.sim.schedule_at(0, [&, who] {
-      f.sessions[who]->run(lock_plan(f.hierarchy, ResourceId{3}, Mode::kW),
-                           msec(200), [&, who](const PlanSession::Result&) {
-                             (who == 1 ? done1 : done2) = f.sim.now();
-                           });
+      run_plan(*f.sessions[who],
+               lock_plan(f.hierarchy, ResourceId{3}, Mode::kW), msec(200),
+               [&, who](const OpStats&) {
+                 (who == 1 ? done1 : done2) = f.sim.now();
+               });
     });
   }
   f.sim.run_all();
@@ -195,19 +195,25 @@ TEST(PlanSession, SameRowWritersSerialize) {
   EXPECT_GE(std::max(done1, done2), msec(400));  // serialized
 }
 
-TEST(PlanSession, RejectsBadUse) {
+TEST(SessionMuxPlans, RejectsBadUse) {
   PlanFixture f;
+  const auto plan = lock_plan(f.hierarchy, ResourceId{1}, Mode::kR);
   f.sim.schedule_at(0, [&] {
-    EXPECT_THROW(f.sessions[0]->run({}, msec(1), nullptr),
+    EXPECT_THROW(run_plan(*f.sessions[0], {}, msec(1), nullptr),
                  std::invalid_argument);
-    f.sessions[0]->run(lock_plan(f.hierarchy, ResourceId{1}, Mode::kR),
-                       msec(5), nullptr);
-    EXPECT_THROW(f.sessions[0]->run(
-                     lock_plan(f.hierarchy, ResourceId{1}, Mode::kR),
-                     msec(5), nullptr),
+    run_plan(*f.sessions[0], plan, msec(5), nullptr);
+    EXPECT_THROW(run_plan(*f.sessions[0], plan, msec(5), nullptr),
                  std::logic_error);
+    // release() belongs to a fully acquired acquire(): not to an idle
+    // session, a run(), or a plan still waiting on a remote grant.
+    EXPECT_THROW(f.sessions[1]->release(0), std::logic_error);
+    EXPECT_THROW(f.sessions[0]->release(0), std::logic_error);
+    f.sessions[2]->acquire(0, plan, nullptr);
+    EXPECT_THROW(f.sessions[2]->release(0), std::logic_error);
   });
   f.sim.run_all();
+  f.sessions[2]->release(0);
+  EXPECT_FALSE(f.sessions[2]->busy(0));
 }
 
 }  // namespace
