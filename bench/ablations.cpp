@@ -20,8 +20,7 @@ int main(int argc, char** argv) {
 
   const bench::CliOptions cli = bench::parse_cli(
       argc, argv,
-      "usage: ablations [--ops N] [--seed S] [--threads N] [--repeat N]\n"
-      "         [--no-memo]\n");
+      "usage: ablations [--ops N] [--seed S] [--threads N] [--repeat N]\n");
   workload::WorkloadSpec spec;
   spec.ops_per_node = 60;
   bench::apply(cli, spec);

@@ -7,14 +7,7 @@
 //   --ops N        workload ops per node
 //   --seed S       workload seed (decimal or 0x hex)
 //   --threads N    sweep worker threads (0 = hardware concurrency)
-//   --repeat N     evaluate every point N times (wall-clock timing;
-//                  disables the memo cache)
-//   --no-memo      disable the in-process point memo cache
-//   --cache-dir D  persist sweep results across invocations under D
-//                  (harness::ResultStore); also enabled when the
-//                  HLOCK_CACHE_DIR environment variable is set (its value
-//                  names the directory; empty value = `.hlock-cache`)
-//   --no-disk-cache  ignore --cache-dir / HLOCK_CACHE_DIR
+//   --repeat N     evaluate every point N times (wall-clock timing)
 //   --json         machine-readable output where the binary supports it
 //   --shards N     simulation shards (bench/many_locks)
 //   --lock-count N total locks across the forest (bench/many_locks)
@@ -52,9 +45,6 @@ struct CliOptions {
   std::size_t threads = 0;    ///< 0 = hardware concurrency
   int repeat = 1;
   bool json = false;
-  bool memo = true;
-  /// Cross-invocation result cache directory; empty = disabled.
-  std::string cache_dir;
   // Many-lock workload flags (bench/many_locks; ignored elsewhere).
   std::size_t shards = 0;      ///< 0 = binary default
   std::uint32_t lock_count = 0;  ///< 0 = binary default
@@ -85,7 +75,7 @@ CliOptions parse_cli(int argc, char** argv, const char* usage,
 /// defaults.
 void apply(const CliOptions& cli, workload::WorkloadSpec& spec);
 
-/// Runner configuration from --threads / --repeat / --no-memo.
+/// Runner configuration from --threads / --repeat.
 harness::SweepOptions sweep_options(const CliOptions& cli);
 
 /// The standard node-count sweep capped at --nodes (default 120).

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   const bench::CliOptions cli = bench::parse_cli(
       argc, argv,
       "usage: fig5_message_overhead [--nodes N] [--ops N] [--seed S]\n"
-      "         [--threads N] [--repeat N] [--no-memo] [--json]\n");
+      "         [--threads N] [--repeat N] [--json]\n");
   workload::WorkloadSpec spec;
   spec.ops_per_node = 60;
   bench::apply(cli, spec);

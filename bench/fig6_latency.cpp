@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   const bench::CliOptions cli = bench::parse_cli(
       argc, argv,
       "usage: fig6_latency [--nodes N] [--ops N] [--seed S] [--threads N]\n"
-      "         [--repeat N] [--no-memo] [--json]\n");
+      "         [--repeat N] [--json]\n");
   workload::WorkloadSpec spec;
   spec.ops_per_node = 60;
   bench::apply(cli, spec);

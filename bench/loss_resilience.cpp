@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   const bench::CliOptions cli = bench::parse_cli(
       argc, argv,
       "usage: loss_resilience [--nodes N] [--ops N] [--seed S]\n"
-      "         [--threads N] [--repeat N] [--no-memo]\n");
+      "         [--threads N] [--repeat N]\n");
   const double loss_rates[] = {0.0, 0.02, 0.05, 0.10, 0.20};
 
   std::vector<SweepPoint> points;

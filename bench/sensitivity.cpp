@@ -3,9 +3,9 @@
 // think time, access locality, and table size. Fixed at 60 nodes.
 //
 // All rows across all sections are submitted to one SweepRunner: they
-// evaluate in parallel under --threads, and the five sections that each
-// re-measure the unmodified baseline spec share a single run through the
-// memo cache.
+// evaluate in parallel under --threads. Every section has a row for the
+// unmodified baseline spec; that point is submitted once and its result
+// shared by those rows.
 #include <iostream>
 #include <string>
 #include <vector>
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   const bench::CliOptions cli = bench::parse_cli(
       argc, argv,
       "usage: sensitivity [--nodes N] [--ops N] [--seed S] [--threads N]\n"
-      "         [--repeat N] [--no-memo]\n");
+      "         [--repeat N]\n");
   workload::WorkloadSpec base;
   base.ops_per_node = 40;
   bench::apply(cli, base);
@@ -109,10 +109,18 @@ int main(int argc, char** argv) {
     sections.push_back(std::move(s));
   }
 
-  std::vector<SweepPoint> points;
-  for (const Section& s : sections)
-    for (const auto& spec : s.specs)
+  std::vector<SweepPoint> points = {make_point(Protocol::kHls, nodes, base)};
+  std::vector<std::size_t> row_point;  // index into points, per row
+  for (const Section& s : sections) {
+    for (const auto& spec : s.specs) {
+      if (spec == base) {
+        row_point.push_back(0);
+        continue;
+      }
+      row_point.push_back(points.size());
       points.push_back(make_point(Protocol::kHls, nodes, spec));
+    }
+  }
   SweepRunner runner(bench::sweep_options(cli));
   const auto results = runner.run(points);
 
@@ -123,7 +131,7 @@ int main(int argc, char** argv) {
     first = false;
     TablePrinter table({s.key_header, "msgs/req", "latency", "p95"});
     for (const std::string& label : s.labels) {
-      const auto& r = results[next++];
+      const auto& r = results[row_point[next++]];
       table.row({label, TablePrinter::num(r.msgs_per_lock_request()),
                  TablePrinter::num(r.latency_factor.mean(), 1),
                  TablePrinter::num(r.latency_factor.percentile(0.95), 1)});

@@ -61,8 +61,7 @@ int main(int argc, char** argv) {
       argc, argv,
       "usage: topology_locality [--nodes N] [--ops N] [--seed S]\n"
       "         [--clusters N] [--intra-latency-ms M] [--inter-latency-ms M]\n"
-      "         [--fairness-cap N] [--threads N] [--repeat N] [--no-memo]\n"
-      "         [--json]\n",
+      "         [--fairness-cap N] [--threads N] [--repeat N] [--json]\n",
       defaults);
 
   workload::WorkloadSpec spec;

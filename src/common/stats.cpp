@@ -19,16 +19,6 @@ void Summary::seal() {
   sorted_ = true;
 }
 
-Summary Summary::restore(std::vector<double> samples, bool sorted,
-                         double sum, double sum_sq) {
-  Summary s;
-  s.samples_ = std::move(samples);
-  s.sorted_ = sorted;
-  s.sum_ = sum;
-  s.sum_sq_ = sum_sq;
-  return s;
-}
-
 double Summary::mean() const {
   if (samples_.empty()) return 0.0;
   return sum_ / static_cast<double>(samples_.size());

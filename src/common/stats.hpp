@@ -14,8 +14,7 @@ namespace hlock {
 ///
 /// Call seal() once at collection end: it sorts the sample vector in
 /// place, after which every accessor is genuinely read-only — a sealed
-/// Summary (e.g. inside a memoized ExperimentResult shared across
-/// SweepRunner workers) is safe to read from any number of threads.
+/// Summary is safe to read from any number of threads.
 /// Accessors on an unsealed Summary still give exact answers, paying for
 /// a sort of a local copy per percentile() call instead of mutating
 /// shared state under a const method.
@@ -35,23 +34,12 @@ class Summary {
   [[nodiscard]] double percentile(double q) const;
   [[nodiscard]] double stddev() const;
 
-  // --- exact serialization (harness::ResultStore) ---
-  //
-  // mean()/stddev() derive from the running sums, and floating-point
-  // addition is order-dependent, so re-add()ing the (sealed, sorted)
-  // samples would NOT reproduce the sums accumulated in arrival order.
-  // Round-trip-exact persistence therefore captures and restores the
-  // full internal state instead of replaying samples.
+  /// The raw samples (sorted once sealed).
   [[nodiscard]] const std::vector<double>& samples() const {
     return samples_;
   }
-  [[nodiscard]] double sum() const { return sum_; }
-  [[nodiscard]] double sum_sq() const { return sum_sq_; }
-  /// Rebuild a Summary from serialized state, bit-for-bit.
-  static Summary restore(std::vector<double> samples, bool sorted,
-                         double sum, double sum_sq);
 
-  /// Exact state equality (cache round-trip tests).
+  /// Exact state equality (whole-result comparisons).
   bool operator==(const Summary&) const = default;
 
  private:

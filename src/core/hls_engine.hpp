@@ -81,9 +81,6 @@ struct EngineOptions {
   /// kHandoff), so the bound holds globally across same-cluster hand-offs:
   /// a remote head waits at most this many out-of-order services, ever.
   std::uint8_t locality_fairness_cap = 4;
-
-  /// Field-wise equality (sweep-runner memo cache key).
-  bool operator==(const EngineOptions&) const = default;
 };
 
 /// Application-facing notifications.

@@ -144,8 +144,8 @@ ExperimentResult ClusterBase::result() const {
   r.messages_by_kind = net_->message_counts();
   r.latency_factor = latency_factor_;
   r.latency_by_kind = latency_by_kind_;
-  // Seal at collection end: results may be shared read-only across sweep
-  // workers (memo cache), so no accessor may sort lazily afterwards.
+  // Seal at collection end, so every accessor on the result is read-only
+  // and safe to call from any thread.
   r.latency_factor.seal();
   for (auto& [kind, summary] : r.latency_by_kind) summary.seal();
   r.virtual_end = sim_.now();

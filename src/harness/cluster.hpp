@@ -54,9 +54,6 @@ struct ClusterConfig {
   ClusterPlacement placement = ClusterPlacement::kBlock;
   Duration intra_latency_mean = usec(50);
   Duration inter_latency_mean = msec(50);
-
-  /// Field-wise equality (sweep-runner memo cache key).
-  bool operator==(const ClusterConfig&) const = default;
 };
 
 namespace detail {

@@ -59,9 +59,9 @@ void write_json_array(std::ostream& os,
 // --- parsing -------------------------------------------------------------
 //
 // A small recursive-descent JSON reader, just enough to read back what
-// the writers above (and harness::ResultStore) emit. Numbers keep their
-// raw source text so integer fields round-trip at full std::uint64_t
-// width — going through a double would corrupt counters above 2^53.
+// the writers above emit. Numbers keep their raw source text so integer
+// fields round-trip at full std::uint64_t width — going through a double
+// would corrupt counters above 2^53.
 
 class JsonValue {
  public:

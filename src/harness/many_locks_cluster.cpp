@@ -97,7 +97,6 @@ struct ManyLocksCluster::CrossFlight {
   Duration acquire_span{0};
   std::uint32_t lock_requests{0};
   std::uint64_t leg_id{0};
-  std::function<void()> on_reply;
 };
 
 ManyLocksCluster::ManyLocksCluster(const ManyLocksConfig& config)
@@ -252,29 +251,27 @@ void ManyLocksCluster::start_cross_op(TreeState& tree, std::size_t node,
   fl->cs = op.cs;
   fl->started = tree.sim->now();
 
-  if (fl->home_first) {
-    tree.sessions[node]->acquire(
-        0, fl->home_plan, [this, fl](const lockmgr::OpStats& r) {
-          fl->lock_requests += r.lock_requests;
-          post_leg(fl, [this, fl] { begin_dwell(fl); });
-        });
-  } else {
-    post_leg(fl, [this, fl] {
-      fl->home->sessions[fl->node]->acquire(
-          0, fl->home_plan, [this, fl](const lockmgr::OpStats& r) {
-            fl->lock_requests += r.lock_requests;
-            begin_dwell(fl);
-          });
-    });
-  }
+  if (fl->home_first) acquire_home(fl);
+  else post_leg(fl);
 }
 
-void ManyLocksCluster::post_leg(const std::shared_ptr<CrossFlight>& fl,
-                                std::function<void()> on_reply) {
+// The flight's next step after each phase follows from home_first alone,
+// so no continuation is stored on the flight: a flight stuck in a
+// deadlocked run is owned only by the cluster's queues and sessions and
+// is freed with them.
+void ManyLocksCluster::acquire_home(const std::shared_ptr<CrossFlight>& fl) {
+  fl->home->sessions[fl->node]->acquire(
+      0, fl->home_plan, [this, fl](const lockmgr::OpStats& r) {
+        fl->lock_requests += r.lock_requests;
+        if (fl->home_first) post_leg(fl);
+        else begin_dwell(fl);
+      });
+}
+
+void ManyLocksCluster::post_leg(const std::shared_ptr<CrossFlight>& fl) {
   TreeState& home = *fl->home;
   TreeState& remote = *fl->remote;
   fl->leg_id = make_key(home);
-  fl->on_reply = std::move(on_reply);
   home.waiting_gateway[fl->node] = remote.index;
   sharded_.post(home.shard, remote.shard, home.sim->now() + sample_hop(home),
                 fl->leg_id, [this, fl] {
@@ -302,11 +299,10 @@ void ManyLocksCluster::gateway_pump(TreeState& tree) {
         // Reply: the requester resumes on its own shard, one hop later.
         sharded_.post(remote.shard, fl->home->shard,
                       remote.sim->now() + sample_hop(remote), make_key(remote),
-                      [fl] {
+                      [this, fl] {
                         fl->home->waiting_gateway[fl->node] = -1;
-                        std::function<void()> reply = std::move(fl->on_reply);
-                        fl->on_reply = nullptr;
-                        reply();
+                        if (fl->home_first) begin_dwell(fl);
+                        else acquire_home(fl);
                       });
       });
 }

@@ -149,8 +149,8 @@ class ManyLocksCluster {
   // Multi-tree transaction machinery (see .cpp flow comments).
   void start_cross_op(TreeState& tree, std::size_t node,
                       const workload::ForestOp& op);
-  void post_leg(const std::shared_ptr<CrossFlight>& fl,
-                std::function<void()> on_reply);
+  void acquire_home(const std::shared_ptr<CrossFlight>& fl);
+  void post_leg(const std::shared_ptr<CrossFlight>& fl);
   void gateway_pump(TreeState& tree);
   void gateway_release(TreeState& tree, std::uint64_t leg_id);
   void begin_dwell(const std::shared_ptr<CrossFlight>& fl);

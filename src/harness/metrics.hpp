@@ -60,9 +60,9 @@ struct ExperimentResult {
                      static_cast<double>(lock_requests);
   }
 
-  /// Exact field-wise equality, down to Summary internal state — the
-  /// ResultStore round-trip contract (cache-hit rerun byte-identical to
-  /// a cold run) is tested through this.
+  /// Exact field-wise equality, down to Summary internal state —
+  /// topology_locality checks through this that the locality bias leaves
+  /// a flat run unchanged.
   bool operator==(const ExperimentResult&) const = default;
 };
 

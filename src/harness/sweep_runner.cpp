@@ -1,55 +1,12 @@
 #include "harness/sweep_runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
+#include <mutex>
 #include <thread>
 
-#include "harness/result_store.hpp"
-
 namespace hlock::harness {
-
-namespace {
-
-void hash_mix(std::size_t& h, std::size_t v) {
-  // boost::hash_combine's mixer — good enough for bucket spreading; the
-  // map compares full SweepPoints, so collisions only cost a probe.
-  h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-}
-
-}  // namespace
-
-std::size_t SweepRunner::PointHash::operator()(const SweepPoint& p) const {
-  const workload::WorkloadSpec& s = p.config.spec;
-  const core::EngineOptions& e = p.config.engine_opts;
-  std::size_t h = static_cast<std::size_t>(p.protocol);
-  hash_mix(h, p.config.nodes);
-  hash_mix(h, static_cast<std::size_t>(p.config.latency));
-  hash_mix(h, std::hash<double>{}(p.config.loss_rate));
-  hash_mix(h, static_cast<std::size_t>(s.cs_mean));
-  hash_mix(h, static_cast<std::size_t>(s.idle_mean));
-  hash_mix(h, static_cast<std::size_t>(s.net_latency_mean));
-  hash_mix(h, std::hash<double>{}(s.p_entry_read));
-  hash_mix(h, std::hash<double>{}(s.p_table_read));
-  hash_mix(h, std::hash<double>{}(s.p_upgrade));
-  hash_mix(h, std::hash<double>{}(s.p_entry_write));
-  hash_mix(h, std::hash<double>{}(s.p_table_write));
-  hash_mix(h, s.entries_per_node);
-  hash_mix(h, std::hash<double>{}(s.home_bias));
-  hash_mix(h, s.ops_per_node);
-  hash_mix(h, static_cast<std::size_t>(s.seed));
-  hash_mix(h, (static_cast<std::size_t>(e.allow_child_grants) << 0) |
-                  (static_cast<std::size_t>(e.allow_local_queues) << 1) |
-                  (static_cast<std::size_t>(e.enable_freezing) << 2) |
-                  (static_cast<std::size_t>(e.lazy_release) << 3) |
-                  (static_cast<std::size_t>(e.enable_priorities) << 4) |
-                  (static_cast<std::size_t>(e.locality_bias) << 5) |
-                  (static_cast<std::size_t>(e.locality_fairness_cap) << 6));
-  hash_mix(h, p.config.clusters);
-  hash_mix(h, static_cast<std::size_t>(p.config.placement));
-  hash_mix(h, static_cast<std::size_t>(p.config.intra_latency_mean));
-  hash_mix(h, static_cast<std::size_t>(p.config.inter_latency_mean));
-  return h;
-}
 
 SweepPoint make_point(Protocol protocol, std::size_t nodes,
                       const workload::WorkloadSpec& spec,
@@ -67,70 +24,6 @@ SweepRunner::SweepRunner(SweepOptions options) : options_(options) {
                                   : std::thread::hardware_concurrency();
   if (threads_ == 0) threads_ = 1;
   if (options_.repeat < 1) options_.repeat = 1;
-  // The disk cache rides the memoized() path, so it is only meaningful
-  // when that path runs (memo on, no timing repeats).
-  if (!options_.cache_dir.empty() && options_.memoize &&
-      options_.repeat == 1) {
-    store_ = options_.cache_build_hash.empty()
-                 ? std::make_unique<ResultStore>(options_.cache_dir)
-                 : std::make_unique<ResultStore>(options_.cache_dir,
-                                                 options_.cache_build_hash);
-  }
-}
-
-SweepRunner::~SweepRunner() = default;
-
-std::size_t SweepRunner::disk_hits() const {
-  return store_ ? store_->hits() : 0;
-}
-std::size_t SweepRunner::disk_misses() const {
-  return store_ ? store_->misses() : 0;
-}
-std::size_t SweepRunner::disk_stored() const {
-  return store_ ? store_->stored() : 0;
-}
-
-ExperimentResult SweepRunner::evaluate(const SweepPoint& point) const {
-  evaluations_.fetch_add(1, std::memory_order_relaxed);
-  ExperimentResult result;
-  for (int i = 0; i < options_.repeat; ++i)
-    result = run_experiment(point.protocol, point.config);
-  return result;
-}
-
-ExperimentResult SweepRunner::memoized(const SweepPoint& point) {
-  std::promise<ExperimentResult> promise;
-  {
-    std::unique_lock<std::mutex> lock(memo_mutex_);
-    const auto it = memo_.find(point);
-    if (it != memo_.end()) {
-      ++memo_hits_;
-      const std::shared_future<ExperimentResult> future = it->second;
-      // Wait outside the lock: the producing task is already running on
-      // some worker, never stuck behind us in the queue.
-      lock.unlock();
-      return future.get();
-    }
-    ++memo_misses_;
-    memo_.emplace(point, promise.get_future().share());
-  }
-  try {
-    // Consult the cross-invocation store before paying for a simulation;
-    // write through after computing so the next invocation hits.
-    if (store_) {
-      if (std::optional<ExperimentResult> cached = store_->get(point)) {
-        promise.set_value(*cached);
-        return *std::move(cached);
-      }
-    }
-    ExperimentResult result = evaluate(point);
-    if (store_) store_->put(point, result);
-    promise.set_value(result);
-    return result;
-  } catch (...) {
-    promise.set_exception(std::current_exception());
-    throw;
-  }
 }
 
 void SweepRunner::for_each_index(std::size_t count,
@@ -169,12 +62,10 @@ void SweepRunner::for_each_index(std::size_t count,
 
 std::vector<ExperimentResult> SweepRunner::run(
     const std::vector<SweepPoint>& points) {
-  // repeat > 1 exists to measure wall clock; serving a repeat from the
-  // cache would report a no-op's timing.
-  const bool use_memo = options_.memoize && options_.repeat == 1;
   std::vector<ExperimentResult> results(points.size());
   for_each_index(points.size(), [&](std::size_t i) {
-    results[i] = use_memo ? memoized(points[i]) : evaluate(points[i]);
+    for (int r = 0; r < options_.repeat; ++r)
+      results[i] = run_experiment(points[i].protocol, points[i].config);
   });
   return results;
 }

@@ -6,25 +6,13 @@
 // is the shared execution layer for the bench binaries and tools: a
 // work-queue thread pool that evaluates points concurrently and hands the
 // results back in submission order, so tables and JSON output are
-// byte-identical at any `--threads` value.
-//
-// On top of the pool sits an in-process memo cache keyed by the full
-// point identity (protocol + every ClusterConfig field, compared
-// field-wise — no hash-collision risk). Binaries that evaluate
-// overlapping point sets (summary_claims' headline table vs its
-// asymptote check, fig5 vs bandwidth-style re-runs) pay for each
-// distinct run once; concurrent requests for the same point block on a
-// shared future instead of computing twice.
+// byte-identical at any `--threads` value. Every point handed to run()
+// is evaluated; a caller that needs one configuration twice asks for it
+// once and reuses the result.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
-#include <future>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "harness/cluster.hpp"
@@ -33,16 +21,12 @@
 
 namespace hlock::harness {
 
-class ResultStore;
-
 /// One independent simulation run: a protocol plus the full cluster
 /// configuration (nodes, workload spec, engine options, latency model,
 /// loss rate).
 struct SweepPoint {
   Protocol protocol{Protocol::kHls};
   ClusterConfig config{};
-
-  bool operator==(const SweepPoint&) const = default;
 };
 
 /// Convenience maker mirroring run_experiment()'s signature.
@@ -53,28 +37,15 @@ SweepPoint make_point(Protocol protocol, std::size_t nodes,
 struct SweepOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency().
   std::size_t threads = 0;
-  /// Reuse results for points already evaluated by this runner.
-  bool memoize = true;
   /// Evaluate each point this many times (fresh cluster each time; the
   /// runs are bit-identical, so this only matters for wall-clock
-  /// timing). repeat > 1 disables the memo cache — a cache hit would
-  /// defeat the purpose of re-running.
+  /// timing).
   int repeat = 1;
-  /// Non-empty: persist results across invocations in a ResultStore
-  /// under this directory (see result_store.hpp). Consulted on memo
-  /// misses and written through after each computed point; inactive when
-  /// memoization is off or repeat > 1 (same reasoning as the memo
-  /// cache).
-  std::string cache_dir;
-  /// Override the build hash the store is keyed by; empty = the
-  /// compiled-in stamp. Tests use this to prove stale-build invalidation.
-  std::string cache_build_hash;
 };
 
 class SweepRunner {
  public:
   explicit SweepRunner(SweepOptions options = {});
-  ~SweepRunner();
 
   /// Evaluate all points and return their results in submission order,
   /// regardless of the order the pool finishes them in.
@@ -84,51 +55,13 @@ class SweepRunner {
   /// churn, recovery...): calls fn(i) for every i in [0, count) on the
   /// pool. fn must be self-contained per index — it builds its own
   /// simulator/rig and writes only to index-i slots of caller-owned
-  /// storage. Never memoized.
+  /// storage.
   void for_each_index(std::size_t count,
                       const std::function<void(std::size_t)>& fn);
 
-  [[nodiscard]] std::size_t threads() const { return threads_; }
-  [[nodiscard]] std::size_t memo_hits() const { return memo_hits_; }
-  [[nodiscard]] std::size_t memo_misses() const { return memo_misses_; }
-
-  /// Simulations actually executed (one per repeat). A fully warm disk
-  /// cache leaves this at 0 — the acceptance proof that a cache-hit
-  /// rerun performs zero simulations.
-  [[nodiscard]] std::size_t evaluations() const {
-    return evaluations_.load(std::memory_order_relaxed);
-  }
-  /// Disk-cache telemetry; all 0 when no cache_dir was configured.
-  [[nodiscard]] std::size_t disk_hits() const;
-  [[nodiscard]] std::size_t disk_misses() const;
-  [[nodiscard]] std::size_t disk_stored() const;
-  [[nodiscard]] bool disk_cache_enabled() const { return store_ != nullptr; }
-
  private:
-  [[nodiscard]] ExperimentResult evaluate(const SweepPoint& point) const;
-  [[nodiscard]] ExperimentResult memoized(const SweepPoint& point);
-
   SweepOptions options_;
   std::size_t threads_;
-
-  std::mutex memo_mutex_;
-  struct PointHash {
-    std::size_t operator()(const SweepPoint& p) const;
-  };
-  /// First requester installs a promise-backed future and computes;
-  /// later requesters (same or other threads) wait on the future. The
-  /// computing task is always already running when a waiter blocks, so
-  /// a fixed-size pool cannot deadlock on it.
-  std::unordered_map<SweepPoint, std::shared_future<ExperimentResult>,
-                     PointHash>
-      memo_;
-  std::size_t memo_hits_{0};
-  std::size_t memo_misses_{0};
-
-  /// Cross-invocation disk cache; null unless options.cache_dir is set
-  /// (and memoize/repeat allow caching at all).
-  std::unique_ptr<ResultStore> store_;
-  mutable std::atomic<std::size_t> evaluations_{0};
 };
 
 }  // namespace hlock::harness

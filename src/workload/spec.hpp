@@ -42,9 +42,8 @@ struct WorkloadSpec {
 
   std::uint64_t seed = 0x5eed;
 
-  /// Field-wise equality — the sweep runner's memo cache compares full
-  /// specs (no hashing shortcut), so two points collide only when every
-  /// parameter of the run is the same.
+  /// Field-wise equality (bench/sensitivity finds its baseline rows
+  /// through this).
   bool operator==(const WorkloadSpec&) const = default;
 
   void validate() const {

@@ -101,12 +101,12 @@ TEST(JsonWriter, TopologySplitEmittedOnlyForClusteredRuns) {
 }
 
 TEST(JsonWriter, NonFiniteSummaryStaysValidJson) {
-  // A Summary restored with poisoned sums exercises the writer's null
-  // mapping end to end: the document must still parse.
+  // Infinite samples poison the Summary (min/max infinite, mean NaN from
+  // inf + -inf) and exercise the writer's null mapping end to end: the
+  // document must still parse.
   ExperimentResult r;
-  r.latency_factor = Summary::restore(
-      {1.0, 2.0}, true, std::numeric_limits<double>::quiet_NaN(),
-      std::numeric_limits<double>::infinity());
+  r.latency_factor.add(std::numeric_limits<double>::infinity());
+  r.latency_factor.add(-std::numeric_limits<double>::infinity());
   const std::string json = to_json(r);
   EXPECT_EQ(json.find("nan"), std::string::npos) << json;
   EXPECT_EQ(json.find("inf"), std::string::npos) << json;
@@ -155,10 +155,17 @@ TEST(SummaryStddev, NearConstantSamplesNeverGoNaN) {
   EXPECT_FALSE(std::isnan(s.stddev()));
   EXPECT_GE(s.stddev(), 0.0);
 
-  // Deterministic worst case: internal sums restored such that the raw
-  // variance expression is exactly negative.
-  const Summary poisoned =
-      Summary::restore({1.0, 1.0}, true, 2.0, 1.9999999999999996);
+  // Deterministic worst case: three samples of 0.1 make the raw variance
+  // expression exactly negative (the same arithmetic, replayed here).
+  Summary poisoned;
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (int i = 0; i < 3; ++i) {
+    poisoned.add(0.1);
+    sum += 0.1;
+    sum_sq += 0.1 * 0.1;
+  }
+  ASSERT_LT(sum_sq / 3 - (sum / 3) * (sum / 3), 0.0);
   EXPECT_FALSE(std::isnan(poisoned.stddev()));
   EXPECT_EQ(poisoned.stddev(), 0.0);
 

@@ -1,7 +1,6 @@
 // SweepRunner: parallel execution must be invisible in the results —
 // bit-identical ExperimentResults in submission order at any thread
-// count — and the memo cache must collapse duplicate points without
-// changing what callers see.
+// count, duplicate points and repeats included.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -93,73 +92,26 @@ TEST(SweepRunner, ResultsComeBackInSubmissionOrder) {
     EXPECT_EQ(results[i].nodes, points[i].config.nodes);
 }
 
-TEST(SweepRunner, MemoCacheHitsDuplicatePoints) {
+TEST(SweepRunner, DuplicatePointsGiveIdenticalResults) {
   const workload::WorkloadSpec spec = small_spec();
   const SweepPoint a = make_point(Protocol::kHls, 10, spec);
   const SweepPoint b = make_point(Protocol::kNaimiPure, 10, spec);
 
   SweepOptions opts;
-  opts.threads = 1;
-  SweepRunner runner(opts);
-  const auto first = runner.run({a, b, a});
-  EXPECT_EQ(runner.memo_misses(), 2u);
-  EXPECT_EQ(runner.memo_hits(), 1u);
-  expect_identical(first[0], first[2]);
-
-  // The cache persists across run() calls on the same runner.
-  const auto second = runner.run({a, b});
-  EXPECT_EQ(runner.memo_misses(), 2u);
-  EXPECT_EQ(runner.memo_hits(), 3u);
-  expect_identical(first[0], second[0]);
-  expect_identical(first[1], second[1]);
-}
-
-TEST(SweepRunner, MemoDistinguishesEveryKeyComponent) {
-  const workload::WorkloadSpec spec = small_spec();
-  workload::WorkloadSpec other_seed = spec;
-  other_seed.seed = 7;
-  core::EngineOptions no_freeze;
-  no_freeze.enable_freezing = false;
-
-  SweepOptions opts;
   opts.threads = 2;
   SweepRunner runner(opts);
-  const auto results = runner.run({
-      make_point(Protocol::kHls, 10, spec),
-      make_point(Protocol::kNaimiPure, 10, spec),   // protocol differs
-      make_point(Protocol::kHls, 20, spec),         // nodes differ
-      make_point(Protocol::kHls, 10, other_seed),   // spec differs
-      make_point(Protocol::kHls, 10, spec, no_freeze),  // opts differ
-  });
-  EXPECT_EQ(runner.memo_misses(), 5u);
-  EXPECT_EQ(runner.memo_hits(), 0u);
-  // Sanity: the distinct configurations really produced distinct runs.
-  EXPECT_NE(results[0].messages, results[2].messages);
-  EXPECT_NE(results[0].messages, results[3].messages);
+  const auto r = runner.run({a, b, a});
+  ASSERT_EQ(r.size(), 3u);
+  expect_identical(r[0], r[2]);
 }
 
-TEST(SweepRunner, MemoCanBeDisabled) {
-  const SweepPoint a = make_point(Protocol::kHls, 10, small_spec());
-  SweepOptions opts;
-  opts.threads = 2;
-  opts.memoize = false;
-  SweepRunner runner(opts);
-  const auto results = runner.run({a, a, a});
-  EXPECT_EQ(runner.memo_misses(), 0u);
-  EXPECT_EQ(runner.memo_hits(), 0u);
-  expect_identical(results[0], results[1]);
-  expect_identical(results[0], results[2]);
-}
-
-TEST(SweepRunner, RepeatReevaluatesAndDisablesMemo) {
+TEST(SweepRunner, RepeatReevaluates) {
   const SweepPoint a = make_point(Protocol::kHls, 5, small_spec());
   SweepOptions opts;
   opts.threads = 1;
   opts.repeat = 3;
   SweepRunner runner(opts);
   const auto repeated = runner.run({a, a});
-  EXPECT_EQ(runner.memo_hits(), 0u);
-  EXPECT_EQ(runner.memo_misses(), 0u);
   // Repetition must not perturb the (deterministic) result.
   const ExperimentResult once = run_experiment(a.protocol, a.config);
   expect_identical(once, repeated[0]);

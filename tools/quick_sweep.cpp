@@ -12,8 +12,7 @@ using namespace hlock::harness;
 int main(int argc, char** argv) {
   const bench::CliOptions cli = bench::parse_cli(
       argc, argv,
-      "usage: quick_sweep [--ops N] [--seed S] [--threads N] [--repeat N]\n"
-      "         [--no-memo]\n");
+      "usage: quick_sweep [--ops N] [--seed S] [--threads N] [--repeat N]\n");
   workload::WorkloadSpec spec;
   spec.ops_per_node = 60;
   bench::apply(cli, spec);
