@@ -336,7 +336,7 @@ void HlsEngine::upgrade(RequestId id) {
 void HlsEngine::pump_backlog() {
   while (!pending_ && !backlog_.empty()) {
     PendingLocal req = backlog_.front();
-    backlog_.pop_front();
+    backlog_.erase(backlog_.begin());
     start_local_request(req);
   }
 }
@@ -583,6 +583,27 @@ void HlsEngine::handle_attach(const Message& m) {
   push_freeze_updates();
 }
 
+void HlsEngine::merge_shipped_queue(
+    const std::vector<QueuedRequest>& shipped) {
+  // Merge the shipped queue with anything we queued while non-token,
+  // preserving global FIFO by Lamport stamp (footnote c of Figure 4).
+  // Shipped entries go first, so the stable sort breaks stamp ties in
+  // their favour. Both steps are skipped when they would not move
+  // anything (a stable sort of a sorted range and a stable partition of a
+  // partitioned one are identities), which spares their temporary buffers.
+  queue_.insert(queue_.begin(), shipped.begin(), shipped.end());
+  const auto before = [this](const QueuedRequest& a, const QueuedRequest& b) {
+    if (opts_.enable_priorities) return priority_before(a, b);
+    return a.stamp < b.stamp;
+  };
+  if (!std::is_sorted(queue_.begin(), queue_.end(), before))
+    std::stable_sort(queue_.begin(), queue_.end(), before);
+  // Upgrades keep their Rule 7 priority across transfers.
+  const auto is_upgrade = [](const QueuedRequest& r) { return r.upgrade; };
+  if (!std::is_partitioned(queue_.begin(), queue_.end(), is_upgrade))
+    std::stable_partition(queue_.begin(), queue_.end(), is_upgrade);
+}
+
 void HlsEngine::handle_handoff(const Message& m) {
   // Unsolicited token from a departing root. Unlike kToken this answers
   // no local request; our own queued entries (if our request sat in the
@@ -592,17 +613,7 @@ void HlsEngine::handle_handoff(const Message& m) {
   locality_streak_ = static_cast<std::uint32_t>(
       std::min<std::uint64_t>(m.grant_seq, 0xffffffffULL));
 
-  std::deque<QueuedRequest> merged;
-  merged.insert(merged.end(), m.queue.begin(), m.queue.end());
-  merged.insert(merged.end(), queue_.begin(), queue_.end());
-  std::stable_sort(merged.begin(), merged.end(),
-                   [this](const QueuedRequest& a, const QueuedRequest& b) {
-                     if (opts_.enable_priorities) return priority_before(a, b);
-                     return a.stamp < b.stamp;
-                   });
-  std::stable_partition(merged.begin(), merged.end(),
-                        [](const QueuedRequest& r) { return r.upgrade; });
-  queue_ = std::move(merged);
+  merge_shipped_queue(m.queue);
 
   check_queue_token();
   if (has_token_) {
@@ -813,26 +824,13 @@ void HlsEngine::handle_token(const Message& m) {
     set_child(m.from, m.sender_owned);
   }
 
-  // Merge the shipped queue with anything we queued while non-token,
-  // preserving global FIFO by Lamport stamp (footnote c of Figure 4).
-  std::deque<QueuedRequest> merged;
-  merged.insert(merged.end(), m.queue.begin(), m.queue.end());
-  merged.insert(merged.end(), queue_.begin(), queue_.end());
-  std::stable_sort(merged.begin(), merged.end(),
-                   [this](const QueuedRequest& a, const QueuedRequest& b) {
-                     if (opts_.enable_priorities) return priority_before(a, b);
-                     return a.stamp < b.stamp;
-                   });
-  // Upgrades keep their Rule 7 priority across transfers.
-  std::stable_partition(merged.begin(), merged.end(),
-                        [](const QueuedRequest& r) { return r.upgrade; });
+  merge_shipped_queue(m.queue);
   // Our own in-flight request is the one the token answers; drop any echo.
-  merged.erase(std::remove_if(merged.begin(), merged.end(),
+  queue_.erase(std::remove_if(queue_.begin(), queue_.end(),
                               [&](const QueuedRequest& r) {
                                 return r.requester == self_;
                               }),
-               merged.end());
-  queue_ = std::move(merged);
+               queue_.end());
 
   if (pending_->upgrade) {
     const Mode rest = owned_mode_excluding_hold(pending_->id);
@@ -994,21 +992,21 @@ void HlsEngine::check_queue_token() {
     if (q.requester == self_) {
       if (q.upgrade) {
         if (!pending_ || !upgrading_hold_) {
-          queue_.pop_front();  // stale entry
+          queue_.erase(queue_.begin());  // stale entry
           continue;
         }
         if (owned_mode_excluding_hold(pending_->id) != kNone) break;
-        queue_.pop_front();
+        queue_.erase(queue_.begin());
         locality_streak_ = 0;
         resolve_pending_with_grant(Mode::kW);
         continue;
       }
       if (!pending_) {
-        queue_.pop_front();  // stale entry
+        queue_.erase(queue_.begin());  // stale entry
         continue;
       }
       if (!compatible(mo, q.mode)) break;
-      queue_.pop_front();
+      queue_.erase(queue_.begin());
       locality_streak_ = 0;
       resolve_pending_with_grant(q.mode);
       continue;
@@ -1016,19 +1014,19 @@ void HlsEngine::check_queue_token() {
 
     if (q.upgrade) {
       if (owned_mode_excluding_child(q.requester) != kNone) break;
-      queue_.pop_front();
+      queue_.erase(queue_.begin());
       locality_streak_ = 0;
       transfer_token(q);
       return;  // no longer the token node
     }
     if (tokenable(mo, q.mode)) {
-      queue_.pop_front();
+      queue_.erase(queue_.begin());
       locality_streak_ = 0;
       transfer_token(q);
       return;  // no longer the token node
     }
     if (token_copy_grantable(mo, q.mode)) {
-      queue_.pop_front();
+      queue_.erase(queue_.begin());
       locality_streak_ = 0;
       grant_copy(q);
       continue;
@@ -1041,10 +1039,11 @@ void HlsEngine::check_queue_nontoken() {
   if (queue_.empty()) return;
   // Re-triage every queued request: grant what Rule 3.1 now allows, keep
   // what Table 2(a) still queues, forward the rest toward the root.
-  std::deque<QueuedRequest> keep;
-  while (!queue_.empty()) {
-    const QueuedRequest q = queue_.front();
-    queue_.pop_front();
+  // Kept entries are compacted in place (grant_copy and send never read
+  // queue_), so the re-triage allocates nothing.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    const QueuedRequest q = queue_[i];
     const Mode mo = owned_mode();
     const bool frozen_blocks =
         opts_.enable_freezing && frozen_.contains(q.mode);
@@ -1055,7 +1054,7 @@ void HlsEngine::check_queue_nontoken() {
     }
     if (opts_.allow_local_queues && !q.upgrade &&
         queue_or_forward(pending_mode(), q.mode) == PendingAction::kQueue) {
-      keep.push_back(q);
+      queue_[kept++] = q;
       continue;
     }
     Message fwd;
@@ -1063,7 +1062,7 @@ void HlsEngine::check_queue_nontoken() {
     fwd.req = q;
     send(parent_, fwd);
   }
-  queue_ = std::move(keep);
+  queue_.resize(kept);
 }
 
 void HlsEngine::detach_from_old_parent(NodeId new_parent) {

@@ -29,7 +29,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <set>
@@ -210,7 +209,7 @@ class HlsEngine {
     return children_;
   }
   [[nodiscard]] ModeSet frozen() const { return frozen_; }
-  [[nodiscard]] const std::deque<QueuedRequest>& queue() const {
+  [[nodiscard]] const std::vector<QueuedRequest>& queue() const {
     return queue_;
   }
   /// All live holds (request id -> mode), sorted by request id.
@@ -281,6 +280,9 @@ class HlsEngine {
   void handle_attach(const Message& m);
   void handle_handoff(const Message& m);
   void handle_departed(const Message& m);
+  /// Token arrival (kToken / kHandoff): fold the shipped queue into ours
+  /// in global FIFO order, upgrades first.
+  void merge_shipped_queue(const std::vector<QueuedRequest>& shipped);
 
   // -- granting machinery --
   /// Insert into the local queue honouring upgrade precedence and, when
@@ -330,8 +332,10 @@ class HlsEngine {
   // -- tree / token state --
   // All per-peer tables below are flat sorted vectors (common/flat_map.hpp)
   // rather than rb-trees: copysets are small, every handle() touches
-  // several of them, and the flat layout keeps the whole engine state in a
-  // few cache lines with zero steady-state allocation.
+  // several of them, and the flat layout keeps lookups contiguous. Every
+  // container here starts empty without allocating (an idle engine costs
+  // one allocation, its own object) and allocates again only to grow past
+  // its previous high-water mark.
   bool has_token_;
   NodeId parent_;  ///< invalid while root
   FlatMap<NodeId, Mode> children_;
@@ -344,8 +348,10 @@ class HlsEngine {
   /// How many local holds are in each mode (same idea as above).
   std::array<std::uint32_t, kModeCount> hold_mode_count_{};
   std::optional<PendingLocal> pending_;
-  std::deque<PendingLocal> backlog_;
-  std::deque<QueuedRequest> queue_;
+  /// Local requests waiting behind pending_, oldest first. Vectors, not
+  /// deques: both are short, and an empty std::deque allocates ~576 B.
+  std::vector<PendingLocal> backlog_;
+  std::vector<QueuedRequest> queue_;
   ModeSet frozen_;
   /// Last frozen set pushed to each child, to send deltas only.
   FlatMap<NodeId, ModeSet> sent_frozen_;

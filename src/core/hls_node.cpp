@@ -30,34 +30,44 @@ HlsEngine& HlsNode::add_lock(LockId lock, NodeId initial_holder,
                                        : recovery_survivors_;
     engine->begin_recovery(recovery_view_, recovery_root_, scope);
   }
-  auto [it, inserted] = engines_.emplace(lock, std::move(engine));
-  if (!inserted) throw std::logic_error("lock added twice");
+  std::unique_ptr<HlsEngine>* slot;
   if (lock.value < kDenseLockLimit) {
-    if (lock.value >= dense_.size()) dense_.resize(lock.value + 1, nullptr);
-    dense_[lock.value] = it->second.get();
+    if (lock.value >= dense_.size()) dense_.resize(lock.value + 1);
+    slot = &dense_[lock.value];
+    if (*slot) throw std::logic_error("lock added twice");
+  } else {
+    auto [it, inserted] = sparse_.try_emplace(lock);
+    if (!inserted) throw std::logic_error("lock added twice");
+    slot = &it->second;
   }
-  return *it->second;
+  *slot = std::move(engine);
+  ++lock_count_;
+  return **slot;
 }
 
 HlsEngine& HlsNode::engine(LockId lock) {
-  if (lock.value < dense_.size() && dense_[lock.value] != nullptr)
+  if (lock.value < dense_.size() && dense_[lock.value])
     return *dense_[lock.value];
-  const auto it = engines_.find(lock);
-  if (it != engines_.end()) return *it->second;
+  if (lock.value >= kDenseLockLimit) {
+    const auto it = sparse_.find(lock);
+    if (it != sparse_.end()) return *it->second;
+  }
   if (lazy_holder_) return add_lock(lock, lazy_holder_(lock));
   throw std::logic_error("unknown lock");
 }
 
 const HlsEngine* HlsNode::find(LockId lock) const {
-  if (lock.value < dense_.size() && dense_[lock.value] != nullptr)
-    return dense_[lock.value];
-  const auto it = engines_.find(lock);
-  return it == engines_.end() ? nullptr : it->second.get();
+  if (lock.value < kDenseLockLimit)
+    return lock.value < dense_.size() ? dense_[lock.value].get() : nullptr;
+  const auto it = sparse_.find(lock);
+  return it == sparse_.end() ? nullptr : it->second.get();
 }
 
 void HlsNode::set_cluster_map(const ClusterMap* map) {
   cluster_map_ = map;
-  for (auto& [lock, eng] : engines_) eng->set_cluster_map(map);
+  for (auto& eng : dense_)
+    if (eng) eng->set_cluster_map(map);
+  for (auto& [lock, eng] : sparse_) eng->set_cluster_map(map);
 }
 
 void HlsNode::begin_recovery(std::uint32_t view, NodeId new_root,
@@ -65,10 +75,12 @@ void HlsNode::begin_recovery(std::uint32_t view, NodeId new_root,
   recovery_view_ = view;
   recovery_root_ = new_root;
   recovery_survivors_ = survivors;
-  for (auto& [lock, eng] : engines_) {
-    if (eng->departed()) continue;
-    eng->begin_recovery(view, new_root, survivors);
-  }
+  const auto recover = [&](HlsEngine& eng) {
+    if (!eng.departed()) eng.begin_recovery(view, new_root, survivors);
+  };
+  for (auto& eng : dense_)
+    if (eng) recover(*eng);
+  for (auto& [lock, eng] : sparse_) recover(*eng);
 }
 
 void HlsNode::handle(const Message& m) { engine(m.lock).handle(m); }

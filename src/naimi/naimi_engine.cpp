@@ -74,7 +74,7 @@ void NaimiEngine::release(RequestId id) {
 void NaimiEngine::pump_backlog() {
   if (requesting_ || waiting_ || backlog_.empty()) return;
   const RequestId id = backlog_.front();
-  backlog_.pop_front();
+  backlog_.erase(backlog_.begin());
   start_request(id);
 }
 

@@ -16,9 +16,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
+#include <vector>
 
 #include "common/types.hpp"
 #include "msg/message.hpp"
@@ -79,7 +79,9 @@ class NaimiEngine {
 
   std::optional<RequestId> current_;   ///< hold currently in the CS
   std::optional<RequestId> waiting_;   ///< local request in the protocol
-  std::deque<RequestId> backlog_;
+  /// Local requests waiting their turn, oldest first (a vector: an empty
+  /// std::deque allocates ~576 B per engine).
+  std::vector<RequestId> backlog_;
   std::uint64_t next_request_{1};
 };
 

@@ -106,12 +106,19 @@ void ShardedSimulator::run_parallel(Duration lookahead, std::size_t workers,
   // thread per round — which also makes each mailbox row single-writer
   // within the round, and the barrier orders the rows before the
   // coordinator's drain.
+  //
+  // `idle` counts the workers that are done with the current generation.
+  // The coordinator zeroes it when it opens a round and touches no round
+  // state again until every worker has reported back, so a worker that
+  // wakes late can never read `active`/`horizon`/`budget`/`cursor` while
+  // they are being rebuilt for the next round, nor step a shard while the
+  // coordinator reads it.
   std::mutex mutex;
   std::condition_variable work_cv;
   std::condition_variable done_cv;
   std::uint64_t generation = 0;
   bool stop = false;
-  std::size_t idle = 0;
+  std::size_t idle = workers;
   std::vector<Simulator*> active;
   TimePoint horizon = 0;
   std::uint64_t budget = 0;
@@ -125,48 +132,39 @@ void ShardedSimulator::run_parallel(Duration lookahead, std::size_t workers,
       for (;;) {
         {
           std::unique_lock lk(mutex);
-          ++idle;
-          done_cv.notify_one();
           work_cv.wait(lk, [&] { return stop || generation != seen; });
           if (stop) return;
           seen = generation;
-          --idle;
         }
         for (std::size_t i; (i = cursor.fetch_add(1)) < active.size();)
           active[i]->run_until(horizon, budget);
+        std::lock_guard lk(mutex);
+        if (++idle == workers) done_cv.notify_one();
       }
     });
   }
 
   const std::uint64_t start = events_processed();
-  {
-    std::unique_lock lk(mutex);
-    done_cv.wait(lk, [&] { return idle == workers; });
-  }
   for (;;) {
     drain_mailboxes();
     TimePoint t_min = Simulator::kNoEvent;
     for (const auto& s : shards_)
       t_min = std::min(t_min, s->next_event_time());
     if (t_min == Simulator::kNoEvent) break;
-    const TimePoint h = t_min + lookahead;
-    active.clear();
-    for (const auto& s : shards_)
-      if (s->next_event_time() <= h) active.push_back(s.get());
-    cursor.store(0);
-    horizon = h;
-    {
-      const std::uint64_t done = events_processed() - start;
-      budget = done > max_events ? 1 : max_events - done + 1;
-    }
     ++rounds_;
     {
       std::unique_lock lk(mutex);
+      horizon = t_min + lookahead;
+      active.clear();
+      for (const auto& s : shards_)
+        if (s->next_event_time() <= horizon) active.push_back(s.get());
+      cursor.store(0);
+      const std::uint64_t done = events_processed() - start;
+      budget = done > max_events ? 1 : max_events - done + 1;
+      idle = 0;
       ++generation;
       work_cv.notify_all();
-      done_cv.wait(lk, [&] {
-        return idle == workers && cursor.load() >= active.size();
-      });
+      done_cv.wait(lk, [&] { return idle == workers; });
     }
     if (events_processed() - start > max_events) break;  // joined below
   }

@@ -1,0 +1,149 @@
+// Heap footprint of the per-lock engines: a materialized engine costs one
+// allocation (its own object), lazy materialization in HlsNode fills one
+// dense slot with that one allocation, and a token arriving at a warm
+// engine builds no temporary container. Forests hold 10^5+ materialized
+// engines, so these counts set both their memory and their speed.
+//
+// This file overrides the global allocation functions to count heap
+// traffic. Each test file builds into its own executable (see
+// tests/CMakeLists.txt), so the override cannot leak into other tests.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <utility>
+#include <vector>
+
+#include "core/hls_engine.hpp"
+#include "core/hls_node.hpp"
+#include "naimi/naimi_engine.hpp"
+
+namespace {
+// Not atomic: the engines and these tests are single-threaded.
+std::uint64_t g_allocs = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  ++g_allocs;
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace hlock::core {
+namespace {
+
+/// Heap allocations made while running `fn`.
+template <typename Fn>
+std::uint64_t allocations_during(Fn&& fn) {
+  const std::uint64_t before = g_allocs;
+  fn();
+  return g_allocs - before;
+}
+
+/// Records sends into pre-reserved storage, so sending allocates nothing
+/// and the counts below see only the engine's own heap traffic.
+class Outbox final : public Transport {
+ public:
+  Outbox() { sent_.reserve(16); }
+  void send(NodeId to, Message m) override {
+    sent_.emplace_back(to, std::move(m));
+  }
+  /// Remove and return the single queued message.
+  Message take() {
+    EXPECT_EQ(sent_.size(), 1u);
+    Message m = std::move(sent_.back().second);
+    sent_.pop_back();
+    return m;
+  }
+  [[nodiscard]] bool empty() const { return sent_.empty(); }
+
+ private:
+  std::vector<std::pair<NodeId, Message>> sent_;
+};
+
+const NodeId kA{0};
+const NodeId kB{1};
+
+TEST(EngineFootprint, IdleHlsEngineIsOneAllocation) {
+  Outbox out;
+  std::unique_ptr<HlsEngine> engine;
+  EXPECT_EQ(allocations_during([&] {
+              engine = std::make_unique<HlsEngine>(LockId{0}, kB, kA, out);
+            }),
+            1u);
+  EXPECT_TRUE(engine->queue().empty());
+  EXPECT_EQ(engine->backlog_size(), 0u);
+}
+
+TEST(EngineFootprint, IdleNaimiEngineIsOneAllocation) {
+  Outbox out;
+  std::unique_ptr<naimi::NaimiEngine> engine;
+  EXPECT_EQ(allocations_during([&] {
+              engine =
+                  std::make_unique<naimi::NaimiEngine>(LockId{0}, kB, kA, out);
+            }),
+            1u);
+  EXPECT_EQ(engine->backlog_size(), 0u);
+}
+
+TEST(EngineFootprint, LazyMaterializationIsOneAllocation) {
+  Outbox out;
+  HlsNode node(kB, out);
+  node.set_lazy_holder([](LockId) { return kA; });
+  node.reserve_dense(64);
+  HlsEngine* engine = nullptr;
+  EXPECT_EQ(allocations_during([&] { engine = &node.engine(LockId{7}); }),
+            1u);
+  EXPECT_EQ(engine->lock(), LockId{7});
+  EXPECT_EQ(node.lock_count(), 1u);
+  // A second touch is a lookup.
+  EXPECT_EQ(allocations_during([&] { (void)node.engine(LockId{7}); }), 0u);
+}
+
+TEST(EngineFootprint, TokenArrivalAtWarmEngineAllocatesNothing) {
+  Outbox out;
+  int acquired = 0;
+  EngineCallbacks cbs;
+  cbs.on_acquired = [&acquired](RequestId, Mode) { ++acquired; };
+  HlsEngine a(LockId{0}, kA, kA, out);
+  HlsEngine b(LockId{0}, kB, kA, out, {}, std::move(cbs));
+
+  // B asks for W; A (idle root) answers with the token and its empty
+  // queue. Returns the token message, undelivered.
+  const auto token_to_b = [&] {
+    (void)b.request_lock(Mode::kW);
+    a.handle(out.take());
+    return out.take();
+  };
+
+  // Warm up: one full round trip of the token sizes B's tables.
+  b.handle(token_to_b());
+  ASSERT_EQ(acquired, 1);
+  b.unlock(b.holds().begin()->first);
+  (void)a.request_lock(Mode::kW);
+  b.handle(out.take());
+  a.handle(out.take());
+  ASSERT_TRUE(a.is_token_node());
+  a.unlock(a.holds().begin()->first);
+  ASSERT_TRUE(out.empty());
+
+  const Message token = token_to_b();
+  ASSERT_EQ(token.kind, MsgKind::kToken);
+  ASSERT_TRUE(token.queue.empty());
+  ASSERT_TRUE(b.queue().empty());
+  EXPECT_EQ(allocations_during([&] { b.handle(token); }), 0u)
+      << "merging an empty shipped queue into an empty local queue must "
+         "not build a temporary container";
+  EXPECT_EQ(acquired, 2);
+  EXPECT_TRUE(b.is_token_node());
+}
+
+}  // namespace
+}  // namespace hlock::core
