@@ -1,6 +1,7 @@
 #include "core/hls_engine.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -18,8 +19,8 @@ HlsEngine::HlsEngine(LockId lock, NodeId self, NodeId initial_token_holder,
       self_(self),
       transport_(transport),
       opts_(opts),
-      callbacks_(std::move(callbacks)),
       has_token_(self == initial_token_holder),
+      callbacks_(std::move(callbacks)),
       parent_(has_token_ ? NodeId::invalid()
                          : (initial_parent.valid() ? initial_parent
                                                    : initial_token_holder)),
@@ -422,8 +423,7 @@ void HlsEngine::leave(NodeId successor_if_root) {
     Message h;
     h.kind = MsgKind::kHandoff;
     h.queue = transport_.acquire_queue_buffer();
-    h.queue.assign(queue_.begin(), queue_.end());
-    queue_.clear();
+    queue_.ship_into(h.queue);
     h.grant_seq = locality_streak_;  // see transfer_token
     locality_streak_ = 0;
     has_token_ = false;
@@ -431,7 +431,7 @@ void HlsEngine::leave(NodeId successor_if_root) {
   } else {
     // Requests we queued behind our (now resolved) pending: forward them
     // toward the root before going dark.
-    for (const QueuedRequest& q : queue_) {
+    for (const QueuedRequest& q : queue_.entries()) {
       Message fwd;
       fwd.kind = MsgKind::kRequest;
       fwd.req = q;
@@ -583,27 +583,6 @@ void HlsEngine::handle_attach(const Message& m) {
   push_freeze_updates();
 }
 
-void HlsEngine::merge_shipped_queue(
-    const std::vector<QueuedRequest>& shipped) {
-  // Merge the shipped queue with anything we queued while non-token,
-  // preserving global FIFO by Lamport stamp (footnote c of Figure 4).
-  // Shipped entries go first, so the stable sort breaks stamp ties in
-  // their favour. Both steps are skipped when they would not move
-  // anything (a stable sort of a sorted range and a stable partition of a
-  // partitioned one are identities), which spares their temporary buffers.
-  queue_.insert(queue_.begin(), shipped.begin(), shipped.end());
-  const auto before = [this](const QueuedRequest& a, const QueuedRequest& b) {
-    if (opts_.enable_priorities) return priority_before(a, b);
-    return a.stamp < b.stamp;
-  };
-  if (!std::is_sorted(queue_.begin(), queue_.end(), before))
-    std::stable_sort(queue_.begin(), queue_.end(), before);
-  // Upgrades keep their Rule 7 priority across transfers.
-  const auto is_upgrade = [](const QueuedRequest& r) { return r.upgrade; };
-  if (!std::is_partitioned(queue_.begin(), queue_.end(), is_upgrade))
-    std::stable_partition(queue_.begin(), queue_.end(), is_upgrade);
-}
-
 void HlsEngine::handle_handoff(const Message& m) {
   // Unsolicited token from a departing root. Unlike kToken this answers
   // no local request; our own queued entries (if our request sat in the
@@ -613,7 +592,7 @@ void HlsEngine::handle_handoff(const Message& m) {
   locality_streak_ = static_cast<std::uint32_t>(
       std::min<std::uint64_t>(m.grant_seq, 0xffffffffULL));
 
-  merge_shipped_queue(m.queue);
+  queue_.merge_shipped(m.queue, opts_.enable_priorities);
 
   check_queue_token();
   if (has_token_) {
@@ -642,9 +621,10 @@ void HlsEngine::handle_request(const Message& m) {
     }
     // We are the root now: treat it exactly like the token-node branch of
     // RequestLock — admit if possible, otherwise queue as a self entry.
-    if (std::find_if(queue_.begin(), queue_.end(), [&](const QueuedRequest& r) {
+    const auto queued = queue_.entries();
+    if (std::find_if(queued.begin(), queued.end(), [&](const QueuedRequest& r) {
           return r.requester == self_ && r.stamp == q.stamp;
-        }) != queue_.end()) {
+        }) != queued.end()) {
       return;  // already queued
     }
     if (!q.upgrade && compatible(owned_mode(), q.mode) &&
@@ -731,19 +711,7 @@ bool HlsEngine::try_serve_upgrade_as_token(const QueuedRequest& q) {
 }
 
 void HlsEngine::enqueue(const QueuedRequest& q) {
-  // Upgrades cluster at the front (Rule 7 precedence), FIFO among
-  // themselves. The rest is FIFO, or (priority desc, stamp) when priority
-  // arbitration is enabled.
-  auto it = queue_.begin();
-  while (it != queue_.end() && it->upgrade) ++it;
-  if (!q.upgrade) {
-    if (opts_.enable_priorities) {
-      while (it != queue_.end() && !priority_before(q, *it)) ++it;
-    } else {
-      it = queue_.end();
-    }
-  }
-  queue_.insert(it, q);
+  queue_.enqueue(q, opts_.enable_priorities);
 }
 
 void HlsEngine::grant_copy(const QueuedRequest& q) {
@@ -769,8 +737,7 @@ void HlsEngine::transfer_token(const QueuedRequest& q) {
   t.mode = q.mode;
   t.sender_owned = remaining;
   t.queue = transport_.acquire_queue_buffer();
-  t.queue.assign(queue_.begin(), queue_.end());
-  queue_.clear();
+  queue_.ship_into(t.queue);
   // The head-bypass streak travels with the token (grant_seq is unused by
   // kToken otherwise), so the locality fairness cap binds globally across
   // same-cluster hand-offs. Always 0 when the bias is off — bitwise
@@ -824,13 +791,9 @@ void HlsEngine::handle_token(const Message& m) {
     set_child(m.from, m.sender_owned);
   }
 
-  merge_shipped_queue(m.queue);
+  queue_.merge_shipped(m.queue, opts_.enable_priorities);
   // Our own in-flight request is the one the token answers; drop any echo.
-  queue_.erase(std::remove_if(queue_.begin(), queue_.end(),
-                              [&](const QueuedRequest& r) {
-                                return r.requester == self_;
-                              }),
-               queue_.end());
+  queue_.erase_requester(self_);
 
   if (pending_->upgrade) {
     const Mode rest = owned_mode_excluding_hold(pending_->id);
@@ -971,8 +934,7 @@ void HlsEngine::check_queue_token() {
   while (has_token_ && !queue_.empty()) {
     const std::size_t pick = pick_queue_index();
     if (pick != 0) {
-      const QueuedRequest q = queue_[pick];
-      queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pick));
+      const QueuedRequest q = queue_.take(pick);
       ++locality_streak_;
       if (q.requester == self_) {
         resolve_pending_with_grant(q.mode);
@@ -992,21 +954,21 @@ void HlsEngine::check_queue_token() {
     if (q.requester == self_) {
       if (q.upgrade) {
         if (!pending_ || !upgrading_hold_) {
-          queue_.erase(queue_.begin());  // stale entry
+          queue_.pop_front();  // stale entry
           continue;
         }
         if (owned_mode_excluding_hold(pending_->id) != kNone) break;
-        queue_.erase(queue_.begin());
+        queue_.pop_front();
         locality_streak_ = 0;
         resolve_pending_with_grant(Mode::kW);
         continue;
       }
       if (!pending_) {
-        queue_.erase(queue_.begin());  // stale entry
+        queue_.pop_front();  // stale entry
         continue;
       }
       if (!compatible(mo, q.mode)) break;
-      queue_.erase(queue_.begin());
+      queue_.pop_front();
       locality_streak_ = 0;
       resolve_pending_with_grant(q.mode);
       continue;
@@ -1014,19 +976,19 @@ void HlsEngine::check_queue_token() {
 
     if (q.upgrade) {
       if (owned_mode_excluding_child(q.requester) != kNone) break;
-      queue_.erase(queue_.begin());
+      queue_.pop_front();
       locality_streak_ = 0;
       transfer_token(q);
       return;  // no longer the token node
     }
     if (tokenable(mo, q.mode)) {
-      queue_.erase(queue_.begin());
+      queue_.pop_front();
       locality_streak_ = 0;
       transfer_token(q);
       return;  // no longer the token node
     }
     if (token_copy_grantable(mo, q.mode)) {
-      queue_.erase(queue_.begin());
+      queue_.pop_front();
       locality_streak_ = 0;
       grant_copy(q);
       continue;
@@ -1041,28 +1003,25 @@ void HlsEngine::check_queue_nontoken() {
   // what Table 2(a) still queues, forward the rest toward the root.
   // Kept entries are compacted in place (grant_copy and send never read
   // queue_), so the re-triage allocates nothing.
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    const QueuedRequest q = queue_[i];
+  queue_.retain_if([this](const QueuedRequest& q) {
     const Mode mo = owned_mode();
     const bool frozen_blocks =
         opts_.enable_freezing && frozen_.contains(q.mode);
     if (opts_.allow_child_grants && !frozen_blocks && !q.upgrade &&
         child_grantable(mo, q.mode)) {
       grant_copy(q);
-      continue;
+      return false;
     }
     if (opts_.allow_local_queues && !q.upgrade &&
         queue_or_forward(pending_mode(), q.mode) == PendingAction::kQueue) {
-      queue_[kept++] = q;
-      continue;
+      return true;
     }
     Message fwd;
     fwd.kind = MsgKind::kRequest;
     fwd.req = q;
     send(parent_, fwd);
-  }
-  queue_.resize(kept);
+    return false;
+  });
 }
 
 void HlsEngine::detach_from_old_parent(NodeId new_parent) {
@@ -1110,9 +1069,19 @@ void HlsEngine::propagate_release_if_needed(Mode owned_before) {
 void HlsEngine::recompute_frozen_token() {
   if (!opts_.enable_freezing) return;
   if (!has_token_) return;
-  ModeSet fresh;
+  // Table 2(b) is a union over the queued requests' modes, so the
+  // queue's per-mode counts give it without walking the queue.
   const Mode mo = owned_mode();
-  for (const QueuedRequest& q : queue_) fresh |= frozen_for(mo, q.mode);
+  ModeSet fresh;
+  for (const Mode m : kRealModes) {
+    if (queue_.count(m) != 0) fresh |= frozen_for(mo, m);
+  }
+#ifndef NDEBUG
+  ModeSet rescan;
+  for (const QueuedRequest& q : queue_.entries())
+    rescan |= frozen_for(mo, q.mode);
+  assert(fresh == rescan);
+#endif
   if (!(fresh == frozen_)) {
     frozen_ = fresh;
     freeze_sync_needed_ = true;

@@ -32,6 +32,7 @@
 #include <functional>
 #include <optional>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "common/cluster_map.hpp"
@@ -40,6 +41,7 @@
 #include "common/logging.hpp"
 #include "common/types.hpp"
 #include "core/mode.hpp"
+#include "core/request_queue.hpp"
 #include "msg/message.hpp"
 
 namespace hlock::core {
@@ -209,8 +211,9 @@ class HlsEngine {
     return children_;
   }
   [[nodiscard]] ModeSet frozen() const { return frozen_; }
-  [[nodiscard]] const std::vector<QueuedRequest>& queue() const {
-    return queue_;
+  /// The local queue, head first.
+  [[nodiscard]] std::span<const QueuedRequest> queue() const {
+    return queue_.entries();
   }
   /// All live holds (request id -> mode), sorted by request id.
   [[nodiscard]] const FlatMap<RequestId, Mode>& holds() const {
@@ -239,8 +242,9 @@ class HlsEngine {
   };
 
   // -- derived state helpers (all O(1): computed from the per-mode count
-  // arrays maintained incrementally by the set_/erase_ mutators below,
-  // instead of rescanning children_/holds_ on every message) --
+  // arrays maintained incrementally by the set_/erase_ mutators below and
+  // by RequestQueue, instead of rescanning children_/holds_/queue_ on
+  // every message) --
   [[nodiscard]] Mode children_mode() const;
   /// Owned mode with one child's contribution removed (upgrade checks).
   [[nodiscard]] Mode owned_mode_excluding_child(NodeId child) const;
@@ -280,9 +284,6 @@ class HlsEngine {
   void handle_attach(const Message& m);
   void handle_handoff(const Message& m);
   void handle_departed(const Message& m);
-  /// Token arrival (kToken / kHandoff): fold the shipped queue into ours
-  /// in global FIFO order, upgrades first.
-  void merge_shipped_queue(const std::vector<QueuedRequest>& shipped);
 
   // -- granting machinery --
   /// Insert into the local queue honouring upgrade precedence and, when
@@ -322,11 +323,16 @@ class HlsEngine {
   void send(NodeId to, Message m);
   [[nodiscard]] RequestId fresh_request_id();
 
+  // Members are ordered so the small fields fill what would otherwise be
+  // alignment padding: forests materialize 10^5+ engines, and each one is
+  // a single allocation of sizeof(HlsEngine).
+
   // -- immutable identity --
   const LockId lock_;
   const NodeId self_;
   Transport& transport_;
   const EngineOptions opts_;
+  bool has_token_;  ///< tree state, kept in the byte after opts_
   EngineCallbacks callbacks_;
 
   // -- tree / token state --
@@ -336,8 +342,9 @@ class HlsEngine {
   // container here starts empty without allocating (an idle engine costs
   // one allocation, its own object) and allocates again only to grow past
   // its previous high-water mark.
-  bool has_token_;
   NodeId parent_;  ///< invalid while root
+  /// Recovery view; messages from other views are dropped.
+  std::uint32_t view_{0};
   FlatMap<NodeId, Mode> children_;
   /// How many children currently own each mode (incremental aggregate
   /// behind the O(1) children_mode() / owned_mode_excluding_child()).
@@ -351,14 +358,10 @@ class HlsEngine {
   /// Local requests waiting behind pending_, oldest first. Vectors, not
   /// deques: both are short, and an empty std::deque allocates ~576 B.
   std::vector<PendingLocal> backlog_;
-  std::vector<QueuedRequest> queue_;
-  ModeSet frozen_;
+  /// Requests waiting here; its per-mode counts make Rule 6 O(1).
+  RequestQueue queue_;
   /// Last frozen set pushed to each child, to send deltas only.
   FlatMap<NodeId, ModeSet> sent_frozen_;
-  /// Set whenever children_ / frozen_ / sent_frozen_ change; lets
-  /// push_freeze_updates() skip its full-children scan on the (common)
-  /// calls where nothing it depends on moved since the last push.
-  bool freeze_sync_needed_{true};
   /// Grants sent per child / received per parent — releases echo the
   /// received count so a release that crossed a newer grant in flight can
   /// be recognized as stale and dropped (see Message::grant_seq).
@@ -368,11 +371,6 @@ class HlsEngine {
   std::optional<RequestId> upgrading_hold_;
   /// Requests cancelled while in flight: their grant is absorbed.
   FlatSet<RequestId> cancelled_;
-
-  /// Tombstone state after leave(): parent_ holds the forwarding target.
-  bool departed_{false};
-  /// Recovery view; messages from other views are dropped.
-  std::uint32_t view_{0};
   /// Barrier (root only): survivors whose recovery attach is still due.
   /// Queue service is deferred while non-empty.
   FlatSet<NodeId> recovery_waiting_;
@@ -383,6 +381,13 @@ class HlsEngine {
   /// served (ships with the token so the fairness cap binds globally).
   /// Always 0 while the bias is off — nothing changes on the wire.
   std::uint32_t locality_streak_{0};
+  ModeSet frozen_;
+  /// Set whenever children_ / frozen_ / sent_frozen_ change; lets
+  /// push_freeze_updates() skip its full-children scan on the (common)
+  /// calls where nothing it depends on moved since the last push.
+  bool freeze_sync_needed_{true};
+  /// Tombstone state after leave(): parent_ holds the forwarding target.
+  bool departed_{false};
 
   LamportClock lamport_;
   std::uint64_t next_request_{1};

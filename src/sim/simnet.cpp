@@ -1,5 +1,6 @@
 #include "sim/simnet.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <utility>
@@ -19,7 +20,9 @@ void SimNetwork::register_node(NodeId node,
   if (idx >= handlers_.size()) handlers_.resize(idx + 1);
   if (handlers_[idx]) throw std::logic_error("node registered twice");
   handlers_[idx] = std::move(handler);
-  if (idx >= stride_) grow_stride(idx + 1);
+  // Doubling keeps registering n nodes O(n^2) in copied entries; growing
+  // to idx + 1 would recopy the whole table on every registration.
+  if (idx >= stride_) grow_stride(std::max(idx + 1, 2 * stride_));
 }
 
 void SimNetwork::grow_stride(std::size_t n) {

@@ -77,6 +77,25 @@ TEST(SeedRegression, HlsFig5Counts) {
   EXPECT_EQ(r.messages_by_kind.get("freeze"), 673u);
 }
 
+// The same workload at n=128, where the token node's local queue holds
+// dozens of entries (at n=24 it stays short), so queue placement, merge
+// order and Rule 6 freezing over long queues are pinned too. Recorded
+// before the queue's per-mode counts and head index were introduced.
+TEST(SeedRegression, HlsFig5CountsAt128) {
+  ClusterConfig config = fig5_config();
+  config.nodes = 128;
+  const ExperimentResult r = run_once<HlsCluster>(config);
+  EXPECT_EQ(r.messages, 31100u);
+  EXPECT_EQ(r.wire_bytes, 2335949u);
+  EXPECT_EQ(r.virtual_end, 425818760);
+  EXPECT_EQ(r.lock_requests, 9435u);
+  EXPECT_EQ(r.messages_by_kind.get("request"), 13724u);
+  EXPECT_EQ(r.messages_by_kind.get("grant"), 4148u);
+  EXPECT_EQ(r.messages_by_kind.get("token"), 3393u);
+  EXPECT_EQ(r.messages_by_kind.get("release"), 4440u);
+  EXPECT_EQ(r.messages_by_kind.get("freeze"), 5395u);
+}
+
 TEST(SeedRegression, NaimiFig5Counts) {
   const ExperimentResult r = run_once<NaimiCluster>(fig5_config(), true);
   EXPECT_EQ(r.messages, 3533u);

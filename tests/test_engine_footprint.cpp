@@ -1,12 +1,14 @@
 // Heap footprint of the per-lock engines: a materialized engine costs one
-// allocation (its own object), lazy materialization in HlsNode fills one
-// dense slot with that one allocation, and a token arriving at a warm
-// engine builds no temporary container. Forests hold 10^5+ materialized
-// engines, so these counts set both their memory and their speed.
+// allocation (its own object) of at most 488 bytes, lazy materialization
+// in HlsNode fills one dense slot with that one allocation, and a token
+// arriving at a warm engine builds no temporary container. Forests hold
+// 10^5+ materialized engines, so these counts set both their memory and
+// their speed.
 //
 // This file overrides the global allocation functions to count heap
-// traffic. Each test file builds into its own executable (see
-// tests/CMakeLists.txt), so the override cannot leak into other tests.
+// traffic (allocations and bytes). Each test file builds into its own
+// executable (see tests/CMakeLists.txt), so the override cannot leak into
+// other tests.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,18 +25,26 @@
 namespace {
 // Not atomic: the engines and these tests are single-threaded.
 std::uint64_t g_allocs = 0;
+std::uint64_t g_bytes = 0;
 }  // namespace
 
 void* operator new(std::size_t n) {
   ++g_allocs;
+  g_bytes += n;
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Not inlined: GCC would otherwise see free() applied to the result of an
+// out-of-line operator new and warn (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace hlock::core {
 namespace {
@@ -45,6 +55,14 @@ std::uint64_t allocations_during(Fn&& fn) {
   const std::uint64_t before = g_allocs;
   fn();
   return g_allocs - before;
+}
+
+/// Heap bytes requested while running `fn`.
+template <typename Fn>
+std::uint64_t bytes_during(Fn&& fn) {
+  const std::uint64_t before = g_bytes;
+  fn();
+  return g_bytes - before;
 }
 
 /// Records sends into pre-reserved storage, so sending allocates nothing
@@ -80,6 +98,18 @@ TEST(EngineFootprint, IdleHlsEngineIsOneAllocation) {
             1u);
   EXPECT_TRUE(engine->queue().empty());
   EXPECT_EQ(engine->backlog_size(), 0u);
+}
+
+// 488 B is the x86-64 / libstdc++ size before the local queue gained its
+// per-mode counts and head index; the members are packed so those fit in
+// former padding. A growing engine multiplies across 10^5-engine forests.
+TEST(EngineFootprint, IdleHlsEngineIsAtMost488Bytes) {
+  Outbox out;
+  std::unique_ptr<HlsEngine> engine;
+  EXPECT_LE(bytes_during([&] {
+              engine = std::make_unique<HlsEngine>(LockId{0}, kB, kA, out);
+            }),
+            488u);
 }
 
 TEST(EngineFootprint, IdleNaimiEngineIsOneAllocation) {

@@ -3,14 +3,18 @@
 // to resolve) at the message level.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/hls_engine.hpp"
 #include "core/hls_node.hpp"
+#include "core/request_queue.hpp"
 #include "test_util.hpp"
 
 namespace hlock::core {
@@ -625,6 +629,255 @@ TEST(HlsNodeIndex, DenseAndSparseIdsActAsOneIndex) {
 
   node.begin_recovery(1, NodeId{0}, std::set<NodeId>{NodeId{0}, NodeId{1}});
   for (const LockId lock : visited) EXPECT_EQ(node.engine(lock).view(), 1u);
+}
+
+// ---- RequestQueue: an engine's local queue ----------------------------------
+
+QueuedRequest req(std::uint32_t node, Mode mode, std::uint64_t counter,
+                  bool upgrade = false, std::uint8_t priority = 0) {
+  return QueuedRequest{NodeId{node}, mode, LamportStamp{counter, NodeId{node}},
+                       upgrade, priority};
+}
+
+std::vector<std::uint32_t> requesters(const RequestQueue& q) {
+  std::vector<std::uint32_t> out;
+  for (const QueuedRequest& r : q.entries()) out.push_back(r.requester.value);
+  return out;
+}
+
+/// Table 2(b) union by a full scan, the definition the counts replace.
+ModeSet frozen_by_scan(std::span<const QueuedRequest> entries, Mode owned) {
+  ModeSet out;
+  for (const QueuedRequest& r : entries) out |= frozen_for(owned, r.mode);
+  return out;
+}
+
+ModeSet frozen_by_counts(const RequestQueue& q, Mode owned) {
+  ModeSet out;
+  for (const Mode m : kRealModes) {
+    if (q.count(m) != 0) out |= frozen_for(owned, m);
+  }
+  return out;
+}
+
+TEST(RequestQueue, UpgradesClusterAtTheFrontInFifoOrder) {
+  RequestQueue q;
+  q.enqueue(req(1, Mode::kR, 1), false);
+  q.enqueue(req(2, Mode::kW, 2, true), false);
+  q.enqueue(req(3, Mode::kIR, 3), false);
+  q.enqueue(req(4, Mode::kW, 4, true), false);
+  EXPECT_EQ(requesters(q), (std::vector<std::uint32_t>{2, 4, 1, 3}));
+  EXPECT_EQ(q.count(Mode::kW), 2u);
+  EXPECT_EQ(q.count(Mode::kR), 1u);
+  EXPECT_EQ(q.count(Mode::kIR), 1u);
+  EXPECT_EQ(q.count(Mode::kU), 0u);
+  EXPECT_TRUE(q.counts_consistent());
+}
+
+TEST(RequestQueue, PriorityPlacementIsPriorityThenStampBehindUpgrades) {
+  RequestQueue q;
+  q.enqueue(req(1, Mode::kR, 1, false, 0), true);
+  q.enqueue(req(2, Mode::kR, 2, false, 5), true);
+  q.enqueue(req(3, Mode::kR, 3, false, 5), true);
+  q.enqueue(req(4, Mode::kW, 4, true, 0), true);
+  q.enqueue(req(5, Mode::kR, 5, false, 9), true);
+  EXPECT_EQ(requesters(q), (std::vector<std::uint32_t>{4, 5, 2, 3, 1}));
+  // Without priority arbitration the same arrivals are FIFO.
+  RequestQueue fifo;
+  for (const QueuedRequest& r : {req(1, Mode::kR, 1, false, 0),
+                                 req(2, Mode::kR, 2, false, 5),
+                                 req(5, Mode::kR, 5, false, 9)})
+    fifo.enqueue(r, false);
+  EXPECT_EQ(requesters(fifo), (std::vector<std::uint32_t>{1, 2, 5}));
+}
+
+TEST(RequestQueue, TakeRemovesTheEntryAtAnIndex) {
+  RequestQueue q;
+  for (std::uint32_t i = 1; i <= 4; ++i) q.enqueue(req(i, Mode::kR, i), false);
+  q.pop_front();
+  EXPECT_EQ(q.take(1).requester, NodeId{3});
+  EXPECT_EQ(requesters(q), (std::vector<std::uint32_t>{2, 4}));
+  EXPECT_EQ(q.take(0).requester, NodeId{2});
+  EXPECT_EQ(requesters(q), (std::vector<std::uint32_t>{4}));
+  EXPECT_EQ(q.count(Mode::kR), 1u);
+  EXPECT_TRUE(q.counts_consistent());
+}
+
+TEST(RequestQueue, HeadPopsSurviveCompaction) {
+  RequestQueue q;
+  for (std::uint32_t i = 1; i <= 6; ++i) q.enqueue(req(i, Mode::kIR, i), false);
+  q.pop_front();
+  q.pop_front();
+  // A placement inside the queue compacts the dead prefix first.
+  q.enqueue(req(7, Mode::kW, 7, true), false);
+  EXPECT_EQ(requesters(q), (std::vector<std::uint32_t>{7, 3, 4, 5, 6}));
+  for (int i = 0; i < 3; ++i) q.pop_front();
+  // Three dead entries, two live: this append compacts.
+  q.enqueue(req(8, Mode::kR, 8), false);
+  EXPECT_EQ(requesters(q), (std::vector<std::uint32_t>{5, 6, 8}));
+  EXPECT_EQ(q.front().requester, NodeId{5});
+  EXPECT_EQ(q[2].requester, NodeId{8});
+  EXPECT_EQ(q.count(Mode::kIR), 2u);
+  EXPECT_EQ(q.count(Mode::kW), 0u);
+  EXPECT_TRUE(q.counts_consistent());
+  // Popping the last entry empties the queue and its counts.
+  while (!q.empty()) q.pop_front();
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_EQ(q.count(Mode::kIR), 0u);
+  EXPECT_EQ(q.count(Mode::kR), 0u);
+}
+
+TEST(RequestQueue, MergeIsStampOrderShippedFirstOnTiesUpgradesFirst) {
+  RequestQueue q;
+  // Local entries, one with a dead prefix in front of it.
+  q.enqueue(req(9, Mode::kR, 1), false);
+  q.enqueue(req(1, Mode::kR, 4), false);
+  q.enqueue(req(2, Mode::kIW, 6), false);
+  q.pop_front();
+  // A shipped entry with exactly the stamp of local entry 1 (counter 4,
+  // node 1) but another requester shows which side wins the tie.
+  QueuedRequest twin = req(1, Mode::kIR, 4);
+  twin.requester = NodeId{5};
+  const std::vector<QueuedRequest> shipped = {
+      req(3, Mode::kW, 2, true), req(4, Mode::kR, 3), twin,
+      req(6, Mode::kU, 7)};
+  q.merge_shipped(shipped, false);
+  EXPECT_EQ(requesters(q), (std::vector<std::uint32_t>{3, 4, 5, 1, 2, 6}));
+  EXPECT_EQ(q.count(Mode::kR), 2u);
+  EXPECT_EQ(q.count(Mode::kW), 1u);
+  EXPECT_TRUE(q.counts_consistent());
+
+  std::vector<QueuedRequest> out = {req(99, Mode::kW, 99)};
+  q.ship_into(out);
+  ASSERT_EQ(out.size(), 6u);
+  EXPECT_EQ(out.front().requester, NodeId{3});
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.count(Mode::kR), 0u);
+}
+
+TEST(RequestQueue, EraseRequesterAndRetainKeepOrderAndCounts) {
+  RequestQueue q;
+  q.enqueue(req(1, Mode::kR, 1), false);
+  q.enqueue(req(2, Mode::kW, 2), false);
+  q.enqueue(req(1, Mode::kIR, 3), false);
+  q.enqueue(req(3, Mode::kU, 4), false);
+  q.pop_front();
+  q.erase_requester(NodeId{1});
+  EXPECT_EQ(requesters(q), (std::vector<std::uint32_t>{2, 3}));
+  EXPECT_EQ(q.count(Mode::kIR), 0u);
+  std::vector<std::uint32_t> visited;
+  q.retain_if([&](const QueuedRequest& r) {
+    visited.push_back(r.requester.value);
+    return r.mode == Mode::kU;
+  });
+  EXPECT_EQ(visited, (std::vector<std::uint32_t>{2, 3}));
+  EXPECT_EQ(requesters(q), (std::vector<std::uint32_t>{3}));
+  EXPECT_EQ(q.count(Mode::kW), 0u);
+  EXPECT_EQ(q.count(Mode::kU), 1u);
+}
+
+// Differential test against the plain-vector queue the engine used before:
+// random mixes of every mutation must leave the same entries in the same
+// order, counts equal to the contents, and the O(1) Rule 6 union equal to
+// the full scan for every owned mode.
+TEST(RequestQueue, MatchesAPlainVectorModel) {
+  for (const bool by_priority : {false, true}) {
+    Rng rng(by_priority ? 17 : 11);
+    RequestQueue q;
+    std::vector<QueuedRequest> model;
+    std::uint64_t clock = 0;
+    const auto random_request = [&] {
+      // Mode 0 (kNone) is rare but legal on the wire; it freezes nothing.
+      const auto mode = static_cast<Mode>(rng.next_below(20) == 0
+                                              ? 0
+                                              : 1 + rng.next_below(5));
+      // Reused counters make stamp ties between different requesters.
+      clock += rng.next_below(3);
+      return req(static_cast<std::uint32_t>(rng.next_below(8)), mode, clock,
+                 rng.next_below(8) == 0,
+                 static_cast<std::uint8_t>(rng.next_below(3)));
+    };
+    const auto model_enqueue = [&](const QueuedRequest& r) {
+      auto it = model.begin();
+      while (it != model.end() && it->upgrade) ++it;
+      if (!r.upgrade) {
+        if (by_priority) {
+          while (it != model.end() && !priority_before(r, *it)) ++it;
+        } else {
+          it = model.end();
+        }
+      }
+      model.insert(it, r);
+    };
+    const auto before = [&](const QueuedRequest& a, const QueuedRequest& b) {
+      return by_priority ? priority_before(a, b) : a.stamp < b.stamp;
+    };
+    for (int step = 0; step < 4000; ++step) {
+      const std::uint64_t op = rng.next_below(100);
+      if (op < 45) {
+        const QueuedRequest r = random_request();
+        q.enqueue(r, by_priority);
+        model_enqueue(r);
+      } else if (op < 75) {
+        if (!model.empty()) {
+          q.pop_front();
+          model.erase(model.begin());
+        }
+      } else if (op < 82) {
+        if (!model.empty()) {
+          const std::size_t i = rng.next_below(model.size());
+          EXPECT_EQ(q.take(i), model[i]);
+          model.erase(model.begin() + static_cast<std::ptrdiff_t>(i));
+        }
+      } else if (op < 90) {
+        std::vector<QueuedRequest> shipped;
+        const std::uint64_t n = rng.next_below(6);
+        for (std::uint64_t k = 0; k < n; ++k)
+          shipped.push_back(random_request());
+        std::stable_sort(shipped.begin(), shipped.end(), before);
+        q.merge_shipped(shipped, by_priority);
+        model.insert(model.begin(), shipped.begin(), shipped.end());
+        std::stable_sort(model.begin(), model.end(), before);
+        std::stable_partition(model.begin(), model.end(),
+                              [](const QueuedRequest& r) { return r.upgrade; });
+      } else if (op < 95) {
+        const NodeId who{static_cast<std::uint32_t>(rng.next_below(8))};
+        q.erase_requester(who);
+        std::erase_if(model, [&](const QueuedRequest& r) {
+          return r.requester == who;
+        });
+      } else if (op < 99) {
+        const auto keep = [](const QueuedRequest& r) {
+          return r.mode != Mode::kW;
+        };
+        q.retain_if(keep);
+        std::erase_if(model, [&](const QueuedRequest& r) { return !keep(r); });
+      } else {
+        std::vector<QueuedRequest> out;
+        q.ship_into(out);
+        EXPECT_EQ(out, model);
+        model.clear();
+      }
+      const std::span<const QueuedRequest> got = q.entries();
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), model.begin(),
+                             model.end()))
+          << "step " << step;
+      ASSERT_EQ(q.size(), model.size());
+      ASSERT_TRUE(q.counts_consistent()) << "step " << step;
+      for (const Mode m : kRealModes) {
+        ASSERT_EQ(q.count(m), static_cast<std::uint32_t>(std::count_if(
+                                  model.begin(), model.end(),
+                                  [m](const QueuedRequest& r) {
+                                    return r.mode == m;
+                                  })));
+      }
+      for (int owned = 0; owned < kModeCount; ++owned) {
+        ASSERT_EQ(frozen_by_counts(q, static_cast<Mode>(owned)),
+                  frozen_by_scan(model, static_cast<Mode>(owned)))
+            << "step " << step << " owned " << owned;
+      }
+    }
+  }
 }
 
 }  // namespace
