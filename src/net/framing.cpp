@@ -24,13 +24,6 @@ std::vector<std::uint8_t> frame(const Message& m, std::uint64_t seq,
 
 std::vector<std::uint8_t> hello_frame(NodeId self, std::uint64_t epoch) {
   ByteWriter w;
-  if (epoch == 0) {  // legacy body, for peers (and tests) without epochs
-    w.reserve(4 + 1 + 4);
-    w.u32(kControlFrameBit | 5u);
-    w.u8(static_cast<std::uint8_t>(ControlOp::kHello));
-    w.u32(self.value);
-    return w.take();
-  }
   w.reserve(4 + 1 + 4 + 8);
   w.u32(kControlFrameBit | 13u);
   w.u8(static_cast<std::uint8_t>(ControlOp::kHello));
@@ -113,11 +106,9 @@ bool FrameDecoder::next_frame(DecodedFrame& out) {
     throw DecodeError("oversized frame");
   }
   if (buffered() < 4 + static_cast<std::size_t>(len)) return false;
-  // `out` may be reused across next_frame calls; clear the optional
-  // fields so a v1 frame cannot inherit a previous frame's values.
-  out.has_ack = false;
+  // `out` may be reused across next_frame calls; clear the fields only
+  // some frame kinds set, so no frame inherits a previous frame's values.
   out.ack_seq = 0;
-  out.hello_epoch = 0;
   out.view_phase = 0;
   out.view_id = 0;
   out.view_members.clear();
@@ -127,9 +118,8 @@ bool FrameDecoder::next_frame(DecodedFrame& out) {
     switch (static_cast<ControlOp>(op)) {
       case ControlOp::kHello:
         out.hello_node = NodeId{r.u32()};
-        // v2 hellos append the sender's boot epoch; legacy hellos end
-        // after the node id and decode with epoch 0 ("unknown").
-        if (!r.done()) out.hello_epoch = r.u64();
+        out.hello_epoch = r.u64();  // throws on a 4-byte (epoch-less) body
+        if (out.hello_epoch == 0) throw DecodeError("hello with epoch 0");
         break;
       case ControlOp::kPing:
         break;
@@ -164,15 +154,13 @@ bool FrameDecoder::next_frame(DecodedFrame& out) {
     out.control = true;
     out.op = static_cast<ControlOp>(op);
   } else {
-    const bool has_ack = (prefix & kAckFlagBit) != 0;
-    const std::uint32_t header = has_ack ? 16 : 8;
+    if ((prefix & kAckFlagBit) == 0)
+      throw DecodeError("data frame without ack field");
+    constexpr std::uint32_t header = 16;
     if (len < header) throw DecodeError("data frame too short for header");
     ByteReader r(p + 4, header);
     out.seq = r.u64();
-    if (has_ack) {
-      out.ack_seq = r.u64();
-      out.has_ack = true;
-    }
+    out.ack_seq = r.u64();
     out.msg = decode(p + 4 + header, len - header);
     out.control = false;
   }

@@ -2,26 +2,25 @@
 // endian prefix followed by a payload. The prefix's top bits select the
 // frame class:
 //
-//   bit 31 clear — protocol frame: payload is a u64 per-peer sequence
-//     number, an optional u64 piggybacked cumulative ack (bit 30 set —
-//     the current encoder always emits it; ack value 0 means "no ack
-//     information", since real sequence numbers start at 1), then an
-//     encode()d Message; the low 30 bits are the payload length (capped
-//     at kMaxFrameBytes). The sequence number lets the receiver
-//     deduplicate retransmissions after a connection dies (TCP alone
-//     cannot give exactly-once across an abortive close: an RST discards
-//     both the sender's untransmitted sndbuf and the receiver's unread
-//     rcvbuf). The piggybacked ack lets a node under bidirectional load
-//     acknowledge delivery without spending a standalone kAck frame.
+//   bit 31 clear — protocol frame: bit 30 (kAckFlagBit) must be set, the
+//     low 30 bits are the payload length (capped at kMaxFrameBytes), and
+//     the payload is a u64 per-peer sequence number, a u64 piggybacked
+//     cumulative ack (0 means "no ack information", since real sequence
+//     numbers start at 1), then an encode()d Message. The sequence number
+//     lets the receiver deduplicate retransmissions after a connection
+//     dies (TCP alone cannot give exactly-once across an abortive close:
+//     an RST discards both the sender's untransmitted sndbuf and the
+//     receiver's unread rcvbuf). The piggybacked ack lets a node under
+//     bidirectional load acknowledge delivery without spending a
+//     standalone kAck frame.
 //   bit 31 set — transport control frame: payload is a 1-byte ControlOp
-//     plus an op-specific body (hello carries the sender's NodeId and
-//     boot epoch, ping is empty, ack carries a cumulative sequence
+//     plus an op-specific body (hello carries the sender's NodeId and its
+//     nonzero boot epoch, ping is empty, ack carries a cumulative sequence
 //     number). Control frames never reach the protocol engines, so a
 //     handshake can never collide with a real lock id.
 //
-// The decoder accepts both wire versions: legacy data frames without the
-// ack field (bit 30 clear) and legacy hellos without the epoch (4-byte
-// body) decode exactly as they did before the version bump.
+// This is wire version 2, the only one: a data frame without kAckFlagBit
+// or a hello without a nonzero epoch is a DecodeError.
 //
 // The decoder is incremental — feed it whatever recv() returned and
 // collect complete frames.
@@ -41,16 +40,15 @@ inline constexpr std::uint32_t kMaxFrameBytes = 16 * 1024 * 1024;
 /// Length-prefix bit marking a transport control frame.
 inline constexpr std::uint32_t kControlFrameBit = 0x8000'0000u;
 
-/// Length-prefix bit marking a data frame that carries a piggybacked
-/// cumulative ack (u64, after the sequence number). Wire version 2; the
-/// decoder also accepts version-1 frames with the bit clear.
+/// Length-prefix bit every data frame carries: it marks the piggybacked
+/// cumulative ack (u64, after the sequence number).
 inline constexpr std::uint32_t kAckFlagBit = 0x4000'0000u;
 
 /// The length field of a prefix (both flag bits masked off).
 inline constexpr std::uint32_t kLengthMask =
     ~(kControlFrameBit | kAckFlagBit);
 
-/// Byte offset of the piggybacked ack inside a v2 data frame (4-byte
+/// Byte offset of the piggybacked ack inside a data frame (4-byte
 /// prefix + 8-byte sequence number). TcpNode stamps the current
 /// cumulative ack into already-encoded frames at this offset.
 inline constexpr std::size_t kAckFieldOffset = 12;
@@ -62,7 +60,7 @@ inline constexpr std::uint32_t kMaxControlBytes = 1024;
 
 /// Transport-level control opcodes (first payload byte of a control frame).
 enum class ControlOp : std::uint8_t {
-  kHello = 1,  ///< body: u32 sender NodeId [+ u64 epoch] — handshake
+  kHello = 1,  ///< body: u32 sender NodeId, u64 epoch — handshake
   kPing = 2,   ///< body: empty — heartbeat/keepalive
   kAck = 3,    ///< body: u64 — cumulative ack of delivered sequence numbers
   /// body: u8 phase (kViewPropose|kViewCommit), u32 view, u32 count,
@@ -87,8 +85,8 @@ std::vector<std::uint8_t> frame(const Message& m, std::uint64_t seq = 0,
 
 /// Build the handshake control frame carrying `self` and this process's
 /// boot `epoch` (nonzero; lets the peer detect a restart and reset its
-/// per-peer sequence/dedup state). epoch 0 emits the legacy 4-byte body.
-std::vector<std::uint8_t> hello_frame(NodeId self, std::uint64_t epoch = 0);
+/// per-peer sequence/dedup state).
+std::vector<std::uint8_t> hello_frame(NodeId self, std::uint64_t epoch);
 
 /// Build an empty heartbeat control frame.
 std::vector<std::uint8_t> ping_frame();
@@ -114,12 +112,11 @@ struct DecodedFrame {
   bool control{false};
   Message msg{};                   ///< valid when !control
   std::uint64_t seq{0};            ///< valid when !control
-  bool has_ack{false};             ///< data frame carried a piggybacked ack
   ControlOp op{ControlOp::kPing};  ///< valid when control
   NodeId hello_node{};             ///< valid when control && op == kHello
-  std::uint64_t hello_epoch{0};    ///< 0 when the peer sent a legacy hello
-  /// Cumulative ack: the kAck body, or the piggybacked value when
-  /// has_ack (0 there means "no ack information").
+  std::uint64_t hello_epoch{0};    ///< valid when op == kHello; nonzero
+  /// Cumulative ack: the kAck body, or a data frame's piggybacked value
+  /// (0 there means "no ack information").
   std::uint64_t ack_seq{0};
   /// View-change fields, valid when op is kViewChange or kViewAck.
   std::uint8_t view_phase{0};       ///< kViewPropose or kViewCommit

@@ -47,8 +47,8 @@ void bump_max(std::atomic<std::uint64_t>& hw, std::uint64_t v) {
 }
 
 /// Boot epoch for this process: wall-clock nanoseconds mixed with
-/// hardware entropy, forced nonzero (0 on the wire means "legacy peer,
-/// no epoch"). Two incarnations of the same node id colliding would need
+/// hardware entropy, forced nonzero (the decoder rejects a hello with
+/// epoch 0). Two incarnations of the same node id colliding would need
 /// both the clock and random_device to repeat.
 std::uint64_t generate_epoch() {
   auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -66,6 +66,18 @@ std::size_t batch_bucket(int n) {
   if (n <= 4) return 1;
   if (n <= 16) return 2;
   return 3;
+}
+
+/// Set a loop-confined callback from any thread. Assigning directly is
+/// safe on the loop thread (no delivery can be concurrent with us) or
+/// before the loop runs (nothing is being delivered at all).
+template <typename Fn>
+void assign_on_loop(EventLoop& loop, Fn& slot, Fn fn) {
+  if (loop.on_loop_thread() || !loop.running()) {
+    slot = std::move(fn);
+    return;
+  }
+  loop.post([&slot, fn = std::move(fn)]() mutable { slot = std::move(fn); });
 }
 
 void store_le64(std::uint8_t* p, std::uint64_t v) {
@@ -104,59 +116,46 @@ TcpNode::~TcpNode() {
 }
 
 void TcpNode::set_peers(std::map<NodeId, PeerAddress> peers) {
-  loop_.post([this, peers = std::move(peers)]() mutable {
-    peers_ = std::move(peers);
-    // Seed the failure detector: a peer we never hear from at all gets a
-    // full suspect_timeout of grace from this moment, not from epoch 0.
-    const TimePoint t = loop_.now();
-    for (const auto& [peer, address] : peers_) last_heard_.emplace(peer, t);
-    // Peers dropped from the book must not be re-dialed by a timer armed
-    // under the old book.
-    for (auto& [peer, d] : dial_) {
-      if (peers_.count(peer) == 0 && d.timer_pending) {
-        loop_.cancel_timer(d.timer_id);
-        d.timer_pending = false;
+  loop_.post([this, book = std::move(peers)]() mutable {
+    for (auto& [id, p] : peers_) {
+      if (!p.address || book.count(id) != 0) continue;
+      // Dropped from the book: no longer dialed (not even by a timer armed
+      // under the old book) and no longer watched by the failure detector.
+      p.address.reset();
+      if (p.dial.timer_pending) {
+        loop_.cancel_timer(p.dial.timer_id);
+        p.dial.timer_pending = false;
       }
+      if (p.suspected) {
+        p.suspected = false;
+        suspected_count_.fetch_sub(1, kRelax);
+      }
+    }
+    const TimePoint t = loop_.now();
+    for (auto& [id, address] : book) {
+      Peer& p = peers_[id];
+      // A peer entering the book gets a full suspect_timeout of grace from
+      // this moment, not from epoch 0 or from an earlier stay in the book.
+      if (!p.address) p.last_heard = t;
+      p.address = std::move(address);
     }
     // Deterministic mesh: the higher id dials the lower, so each pair has
     // exactly one connection and per-pair FIFO ordering holds.
-    for (const auto& [peer, address] : peers_) {
-      if (peer < self_) maybe_dial(peer);
-    }
+    for (const auto& [id, address] : book) maybe_dial(id);
   });
 }
 
 void TcpNode::set_handler(std::function<void(const Message&)> fn) {
-  if (loop_.on_loop_thread() || !loop_.running()) {
-    // Safe to assign directly: either we ARE the loop thread (no delivery
-    // can be concurrent with us) or nothing is being delivered at all.
-    handler_ = std::move(fn);
-    return;
-  }
-  loop_.post([this, fn = std::move(fn)]() mutable {
-    handler_ = std::move(fn);
-  });
+  assign_on_loop(loop_, handler_, std::move(fn));
 }
 
 void TcpNode::set_on_peer_suspected(std::function<void(NodeId, bool)> fn) {
-  if (loop_.on_loop_thread() || !loop_.running()) {
-    on_suspect_ = std::move(fn);
-    return;
-  }
-  loop_.post([this, fn = std::move(fn)]() mutable {
-    on_suspect_ = std::move(fn);
-  });
+  assign_on_loop(loop_, on_suspect_, std::move(fn));
 }
 
 void TcpNode::set_control_handler(
     std::function<void(NodeId, const DecodedFrame&)> fn) {
-  if (loop_.on_loop_thread() || !loop_.running()) {
-    control_handler_ = std::move(fn);
-    return;
-  }
-  loop_.post([this, fn = std::move(fn)]() mutable {
-    control_handler_ = std::move(fn);
-  });
+  assign_on_loop(loop_, control_handler_, std::move(fn));
 }
 
 void TcpNode::send_control(NodeId to, std::vector<std::uint8_t> bytes) {
@@ -176,33 +175,24 @@ void TcpNode::send_control(NodeId to, std::vector<std::uint8_t> bytes) {
 
 void TcpNode::forget_peer(NodeId peer) {
   loop_.post([this, peer] {
-    // Drop the address book entry first: close_conn below consults it to
-    // decide whether to schedule a re-dial.
-    peers_.erase(peer);
+    const auto it = peers_.find(peer);
+    if (it == peers_.end()) return;
+    // Leave the book first: close_conn consults it to decide whether to
+    // schedule a re-dial.
+    Peer& p = it->second;
+    p.address.reset();
     std::vector<int> doomed;
     for (const auto& [fd, c] : conns_)
       if (c->peer == peer) doomed.push_back(fd);
     for (const int fd : doomed) close_conn(fd);
-    const auto dit = dial_.find(peer);
-    if (dit != dial_.end()) {
-      if (dit->second.timer_pending) loop_.cancel_timer(dit->second.timer_id);
-      dial_.erase(dit);
-    }
-    const auto sit = send_.find(peer);
-    if (sit != send_.end()) {
-      unacked_frames_.fetch_sub(sit->second.window.size(), kRelax);
-      send_.erase(sit);
-    }
+    if (p.dial.timer_pending) loop_.cancel_timer(p.dial.timer_id);
+    unacked_frames_.fetch_sub(p.window.size(), kRelax);
+    if (p.suspected) suspected_count_.fetch_sub(1, kRelax);
+    peers_.erase(it);
     if (cfg_.send_window_limit != 0) {
       std::lock_guard<std::mutex> lk(window_mu_);
       window_pending_.erase(peer);
     }
-    recv_seq_.erase(peer);
-    peer_epoch_.erase(peer);
-    ever_connected_.erase(peer);
-    last_heard_.erase(peer);
-    if (suspected_.erase(peer) != 0)
-      suspected_count_.store(suspected_.size(), kRelax);
   });
 }
 
@@ -230,35 +220,28 @@ void TcpNode::on_listen_ready() {
 
 void TcpNode::maybe_dial(NodeId peer) {
   if (!(peer < self_)) return;  // the higher id dials; we wait for them
-  if (peers_.find(peer) == peers_.end()) return;
-  auto& d = dial_[peer];
-  if (d.fd >= 0 || peer_fd_.count(peer) != 0) return;  // busy or connected
-  if (d.timer_pending) return;  // a backoff re-dial is already queued
+  const auto it = peers_.find(peer);
+  if (it == peers_.end()) return;
+  if (it->second.dial.timer_pending) return;  // a backoff re-dial is queued
   start_dial(peer);
 }
 
 void TcpNode::start_dial(NodeId peer) {
-  const auto it = peers_.find(peer);
-  if (it == peers_.end()) return;
-  auto& d = dial_[peer];
-  if (d.fd >= 0 || peer_fd_.count(peer) != 0) return;
+  Peer& p = peers_[peer];
+  if (!p.address || p.dial.fd >= 0 || p.fd >= 0) return;  // busy/connected
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(it->second.port);
-  if (::inet_pton(AF_INET, it->second.host.c_str(), &addr.sin_addr) != 1) {
+  addr.sin_port = htons(p.address->port);
+  if (::inet_pton(AF_INET, p.address->host.c_str(), &addr.sin_addr) != 1) {
     HLOCK_LOG(kError, "node " << self_ << ": bad host for peer " << peer
-                              << ": '" << it->second.host << "'");
-    ++d.failures;
-    stats_.connect_failures.fetch_add(1, kRelax);
-    schedule_redial(peer);  // the book may be corrected via set_peers
+                              << ": '" << p.address->host << "'");
+    fail_dial(peer);  // the book may be corrected via set_peers
     return;
   }
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
-    ++d.failures;
-    stats_.connect_failures.fetch_add(1, kRelax);
-    schedule_redial(peer);
+    fail_dial(peer);
     return;
   }
   set_nonblocking(fd);
@@ -268,9 +251,7 @@ void TcpNode::start_dial(NodeId peer) {
       ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
   if (rc != 0 && errno != EINPROGRESS) {
     ::close(fd);
-    ++d.failures;
-    stats_.connect_failures.fetch_add(1, kRelax);
-    schedule_redial(peer);
+    fail_dial(peer);
     return;
   }
   auto conn = std::make_unique<Connection>();
@@ -280,7 +261,7 @@ void TcpNode::start_dial(NodeId peer) {
   conn->last_recv = conn->last_send = loop_.now();
   Connection* raw = conn.get();
   conns_.emplace(fd, std::move(conn));
-  d.fd = fd;
+  p.dial.fd = fd;
   if (rc == 0) {
     established(*raw, /*outbound=*/true);
     return;
@@ -311,7 +292,8 @@ void TcpNode::on_connect_ready(int fd, std::uint32_t revents) {
 }
 
 void TcpNode::fail_dial(NodeId peer) {
-  auto& d = dial_[peer];
+  // Closes the in-flight connecting fd, if any, and backs off.
+  DialState& d = peers_[peer].dial;
   if (d.fd >= 0) {
     loop_.unwatch(d.fd);
     ::close(d.fd);
@@ -324,8 +306,9 @@ void TcpNode::fail_dial(NodeId peer) {
 }
 
 void TcpNode::schedule_redial(NodeId peer) {
-  auto& d = dial_[peer];
-  if (d.timer_pending || d.fd >= 0 || peer_fd_.count(peer) != 0) return;
+  Peer& p = peers_[peer];
+  DialState& d = p.dial;
+  if (d.timer_pending || d.fd >= 0 || p.fd >= 0) return;
   // Capped exponential backoff: min * 2^(failures-1), clamped to max.
   Duration delay = cfg_.reconnect_min > 0 ? cfg_.reconnect_min : msec(1);
   const Duration cap =
@@ -334,10 +317,9 @@ void TcpNode::schedule_redial(NodeId peer) {
   delay = std::min(delay, cap);
   d.timer_pending = true;
   d.timer_id = loop_.schedule_cancellable(delay, [this, peer] {
-    const auto it = dial_.find(peer);
-    if (it == dial_.end()) return;
-    it->second.timer_pending = false;
-    if (it->second.fd >= 0 || peer_fd_.count(peer) != 0) return;
+    const auto it = peers_.find(peer);
+    if (it == peers_.end()) return;
+    it->second.dial.timer_pending = false;
     start_dial(peer);
   });
 }
@@ -349,41 +331,37 @@ void TcpNode::established(Connection& c, bool outbound) {
   loop_.watch(fd, POLLIN, [this, fd](std::uint32_t revents) {
     on_conn_event(fd, revents);
   });
+  Peer* p = nullptr;
   if (outbound) {
     stats_.connects.fetch_add(1, kRelax);
     // Backoff state (failures) resets only on the peer's hello: a listener
     // that accepts and then drops us pre-handshake (half-configured proxy,
     // crashing peer) must keep escalating the redial delay.
-    dial_[c.peer].fd = -1;
-    register_peer(c.peer, fd);
+    p = &peers_[c.peer];
+    p->dial.fd = -1;
+    register_peer(*p, fd);
   } else {
     stats_.accepts.fetch_add(1, kRelax);
   }
   queue_frame(c, hello_frame(self_, epoch_), /*control=*/true);
-  if (outbound) {
-    resend_window(c);  // flushes when the peer's window was non-empty
+  if (p != nullptr) {
+    resend_window(c, *p);  // flushes when the peer's window was non-empty
     if (conns_.find(fd) == conns_.end()) return;  // flush may have closed
   }
   flush(c);
 }
 
-void TcpNode::register_peer(NodeId peer, int fd) {
-  const auto it = peer_fd_.find(peer);
-  if (it == peer_fd_.end()) {
-    peer_fd_.emplace(peer, fd);
-    connected_peers_.fetch_add(1, kRelax);
-  } else {
-    // Replacement connection (e.g. the old link is half-open and not yet
-    // reaped); the latest one wins, the stale fd is closed by idle/error
-    // handling and its guard (`pit->second == fd`) leaves this mapping be.
-    it->second = fd;
-  }
+void TcpNode::register_peer(Peer& p, int fd) {
+  // A replacement connection (e.g. the old link is half-open and not yet
+  // reaped) wins; the stale fd is closed by idle/error handling and its
+  // guard (`p.fd == fd`) leaves this mapping be.
+  if (p.fd < 0) connected_peers_.fetch_add(1, kRelax);
+  p.fd = fd;
 }
 
-void TcpNode::resend_window(Connection& c) {
-  const auto it = send_.find(c.peer);
-  if (it == send_.end() || it->second.window.empty()) return;
-  for (Unacked& u : it->second.window) {
+void TcpNode::resend_window(Connection& c, Peer& p) {
+  if (p.window.empty()) return;
+  for (Unacked& u : p.window) {
     if (u.sent_once) stats_.requeued_frames.fetch_add(1, kRelax);
     u.sent_once = true;
     queue_frame(c, u.bytes);  // copies; the window entry must stay intact
@@ -411,17 +389,17 @@ bool TcpNode::send(NodeId to, Message m) {
     // a cumulative ack. Delivery across connection churn (including RST,
     // which destroys kernel-buffered data on both ends) then follows from
     // retransmit-on-reconnect plus receive-side dedup.
-    auto& ss = send_[to];
+    Peer& p = peers_[to];
     Unacked u;
-    u.seq = ss.next_seq++;
+    u.seq = p.next_seq++;
     u.bytes = frame(msg, u.seq);
-    ss.window.push_back(std::move(u));
+    p.window.push_back(std::move(u));
     ++unacked_frames_;
     bump_max(stats_.pending_high_water, unacked_frames_);
     Connection* c = established_conn(to);
     if (c != nullptr) {
-      ss.window.back().sent_once = true;
-      queue_frame(*c, ss.window.back().bytes);
+      p.window.back().sent_once = true;
+      queue_frame(*c, p.window.back().bytes);
       request_flush(*c);
       return;
     }
@@ -453,9 +431,9 @@ void TcpNode::request_flush(Connection& c) {
 }
 
 TcpNode::Connection* TcpNode::established_conn(NodeId peer) {
-  const auto it = peer_fd_.find(peer);
-  if (it == peer_fd_.end()) return nullptr;
-  const auto cit = conns_.find(it->second);
+  const auto it = peers_.find(peer);
+  if (it == peers_.end() || it->second.fd < 0) return nullptr;
+  const auto cit = conns_.find(it->second.fd);
   if (cit == conns_.end() || cit->second->connecting) return nullptr;
   return cit->second.get();
 }
@@ -468,7 +446,7 @@ void TcpNode::queue_frame(Connection& c, std::vector<std::uint8_t> bytes,
     // queue: stamp the cumulative ack into its v2 ack slot instead of
     // spending a standalone kAck frame. (Only the queued copy is stamped;
     // the send-window original keeps ack 0, which decodes as "no info".)
-    const std::uint64_t ack = recv_seq_[c.peer];
+    const std::uint64_t ack = peers_[c.peer].delivered_seq;
     if (ack > 0 && bytes.size() >= kAckFieldOffset + 8) {
       store_le64(bytes.data() + kAckFieldOffset, ack);
       c.ack_due = false;
@@ -483,7 +461,7 @@ void TcpNode::queue_frame(Connection& c, std::vector<std::uint8_t> bytes,
 
 bool TcpNode::try_stamp_queued_ack(Connection& c) {
   if (!c.peer.valid()) return false;
-  const std::uint64_t ack = recv_seq_[c.peer];
+  const std::uint64_t ack = peers_[c.peer].delivered_seq;
   if (ack == 0) return false;
   // Skip the front frame when part of it is already on the wire — its
   // header bytes may be sent, so stamping it would corrupt the stream.
@@ -500,7 +478,7 @@ void TcpNode::queue_standalone_ack(Connection& c) {
   c.ack_due = false;
   cancel_ack_timer(c);
   stats_.acks_standalone.fetch_add(1, kRelax);
-  queue_frame(c, ack_frame(recv_seq_[c.peer]), /*control=*/true);
+  queue_frame(c, ack_frame(peers_[c.peer].delivered_seq), /*control=*/true);
 }
 
 void TcpNode::arm_ack_timer(Connection& c) {
@@ -607,8 +585,14 @@ void TcpNode::on_conn_event(int fd, std::uint32_t revents) {
   const bool hangup = (revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
   bool dead = false;
   if ((revents & POLLIN) != 0 || hangup) {
+    // Cap one readiness event at kMaxReadsPerEvent reads, then decode and
+    // ack: a peer resending a multi-megabyte window would otherwise keep
+    // this loop from ever reaching EAGAIN, so no ack or heartbeat would
+    // leave, the peer would reap the link as idle and resend the window
+    // forever. Poll is level-triggered; the next pass reads the rest. A
+    // hangup still reads to EOF — the connection is finished either way.
     std::uint8_t buf[65536];
-    for (;;) {
+    for (int reads = 0; hangup || reads < kMaxReadsPerEvent; ++reads) {
       const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
       if (n > 0) {
         stats_.bytes_in.fetch_add(static_cast<std::uint64_t>(n), kRelax);
@@ -671,17 +655,16 @@ void TcpNode::on_conn_event(int fd, std::uint32_t revents) {
   if (revents & POLLOUT) flush(c);
 }
 
-void TcpNode::process_ack(NodeId peer, std::uint64_t ack_seq) {
-  auto& ss = send_[peer];
+void TcpNode::process_ack(NodeId id, Peer& p, std::uint64_t ack_seq) {
   std::size_t trimmed = 0;
-  while (!ss.window.empty() && ss.window.front().seq <= ack_seq) {
-    ss.window.pop_front();
+  while (!p.window.empty() && p.window.front().seq <= ack_seq) {
+    p.window.pop_front();
     --unacked_frames_;
     ++trimmed;
   }
   if (trimmed != 0 && cfg_.send_window_limit != 0) {
     std::lock_guard<std::mutex> lk(window_mu_);
-    auto& pending = window_pending_[peer];
+    auto& pending = window_pending_[id];
     pending -= std::min(pending, trimmed);
   }
 }
@@ -700,42 +683,38 @@ void TcpNode::handle_frame(Connection& c, const DecodedFrame& f) {
         }
         const bool inbound_first = !c.peer.valid();
         if (inbound_first) c.peer = f.hello_node;
-        if (f.hello_epoch != 0) {
-          // A hello always precedes data on its connection (TCP stream
-          // order), so resetting the dedup state here is race-free: no
-          // frame from the new incarnation can have been delivered yet.
-          auto& known = peer_epoch_[c.peer];
-          if (known != 0 && known != f.hello_epoch) {
-            stats_.peer_restarts.fetch_add(1, kRelax);
-            recv_seq_[c.peer] = 0;
-            HLOCK_LOG(kInfo, "node " << self_ << ": peer " << c.peer
-                                     << " restarted (epoch " << known
-                                     << " -> " << f.hello_epoch
-                                     << "); sequence state reset");
-          }
-          known = f.hello_epoch;
+        Peer& p = peers_[c.peer];
+        // A hello always precedes data on its connection (TCP stream
+        // order), so resetting the dedup state here is race-free: no frame
+        // from the new incarnation can have been delivered yet.
+        if (p.epoch != 0 && p.epoch != f.hello_epoch) {
+          stats_.peer_restarts.fetch_add(1, kRelax);
+          p.delivered_seq = 0;
+          HLOCK_LOG(kInfo, "node " << self_ << ": peer " << c.peer
+                                   << " restarted (epoch " << p.epoch
+                                   << " -> " << f.hello_epoch
+                                   << "); sequence state reset");
         }
+        p.epoch = f.hello_epoch;
         if (!c.greeted) {
           c.greeted = true;
           // Only a completed handshake proves the link works end to end:
           // reset the dial backoff and account the reconnect here, not at
           // connect time (a proxy fronting a dead listener "connects").
-          const auto dit = dial_.find(c.peer);
-          if (dit != dial_.end()) dit->second.failures = 0;
-          auto& ever = ever_connected_[c.peer];
-          if (ever) stats_.reconnects.fetch_add(1, kRelax);
-          ever = true;
+          p.dial.failures = 0;
+          if (p.ever_connected) stats_.reconnects.fetch_add(1, kRelax);
+          p.ever_connected = true;
         }
         if (inbound_first) {  // inbound link: now we know who dialed us
-          register_peer(c.peer, c.fd);
-          resend_window(c);
+          register_peer(p, c.fd);
+          resend_window(c, p);
         }
         return;
       }
       case ControlOp::kPing:
         return;  // liveness only; last_recv was refreshed by the read loop
       case ControlOp::kAck:
-        if (c.peer.valid()) process_ack(c.peer, f.ack_seq);
+        if (c.peer.valid()) process_ack(c.peer, peers_[c.peer], f.ack_seq);
         return;
       case ControlOp::kViewChange:
       case ControlOp::kViewAck:
@@ -755,12 +734,13 @@ void TcpNode::handle_frame(Connection& c, const DecodedFrame& f) {
     close_conn(c.fd);
     return;
   }
-  if (f.has_ack && f.ack_seq > 0) {
+  Peer& p = peers_[c.peer];
+  if (f.ack_seq > 0) {
     // Piggybacked cumulative ack: trim our send window exactly as a
     // standalone kAck would, before dedup/delivery of the frame itself.
-    process_ack(c.peer, f.ack_seq);
+    process_ack(c.peer, p, f.ack_seq);
   }
-  auto& delivered_seq = recv_seq_[c.peer];
+  std::uint64_t& delivered_seq = p.delivered_seq;
   if (f.seq <= delivered_seq) {
     // Retransmission of something already delivered — the peer resends its
     // whole window on reconnect, so this happens whenever the previous
@@ -794,26 +774,25 @@ void TcpNode::close_conn(int fd) {
   // No salvage needed: everything unacked for this peer is still in its
   // send window and will be retransmitted wholesale on the next
   // established connection (the receiver dedups by sequence number).
-  if (peer.valid()) {
+  Peer* p = peer.valid() ? &peers_[peer] : nullptr;
+  if (p != nullptr) {
     if (!c.greeted && peer < self_) {
       // The link died before the handshake completed: escalate the
       // backoff, else an accept-then-drop listener induces a redial storm.
-      ++dial_[peer].failures;
+      ++p->dial.failures;
     }
-    const auto pit = peer_fd_.find(peer);
-    if (pit != peer_fd_.end() && pit->second == fd) {
-      peer_fd_.erase(pit);
+    if (p->fd == fd) {
+      p->fd = -1;
       connected_peers_.fetch_sub(1, kRelax);
     }
-    const auto dit = dial_.find(peer);
-    if (dit != dial_.end() && dit->second.fd == fd) dit->second.fd = -1;
+    if (p->dial.fd == fd) p->dial.fd = -1;
   }
   loop_.unwatch(fd);
   ::close(fd);
   conns_.erase(it);
 
-  if (peer.valid() && established_conn(peer) == nullptr && peer < self_ &&
-      peers_.count(peer) != 0) {
+  if (p != nullptr && p->address && peer < self_ &&
+      established_conn(peer) == nullptr) {
     // This side owns the dial and no replacement link exists; reconnect so
     // the window drains. (A replacement link, if any, already resent it.)
     schedule_redial(peer);
@@ -822,8 +801,8 @@ void TcpNode::close_conn(int fd) {
 
 void TcpNode::close_peer_connection(NodeId peer) {
   loop_.post([this, peer] {
-    const auto it = peer_fd_.find(peer);
-    if (it != peer_fd_.end()) close_conn(it->second);
+    const auto it = peers_.find(peer);
+    if (it != peers_.end() && it->second.fd >= 0) close_conn(it->second.fd);
   });
 }
 
@@ -887,30 +866,31 @@ void TcpNode::check_suspects(TimePoint now) {
   // not a link — reconnect churn must not trip it).
   for (const auto& [fd, c] : conns_) {
     if (!c->peer.valid() || c->connecting) continue;
-    auto it = last_heard_.find(c->peer);
-    if (it != last_heard_.end() && c->last_recv > it->second)
-      it->second = c->last_recv;
+    TimePoint& heard = peers_[c->peer].last_heard;
+    heard = std::max(heard, c->last_recv);
   }
-  bool changed = false;
-  for (const auto& [peer, heard] : last_heard_) {
-    const bool silent = now - heard >= cfg_.suspect_timeout;
-    if (silent && suspected_.count(peer) == 0) {
-      suspected_.insert(peer);
-      changed = true;
+  // Only peers in the book are watched; one dropped from it is not.
+  for (auto& [id, p] : peers_) {
+    if (!p.address) continue;
+    const bool silent = now - p.last_heard >= cfg_.suspect_timeout;
+    if (silent && !p.suspected) {
+      p.suspected = true;
+      suspected_count_.fetch_add(1, kRelax);
       stats_.peers_suspected.fetch_add(1, kRelax);
-      HLOCK_LOG(kInfo, "node " << self_ << ": peer " << peer
+      HLOCK_LOG(kInfo, "node " << self_ << ": peer " << id
                                << " suspected after "
-                               << (now - heard) / 1000 << " ms of silence");
-      if (on_suspect_) on_suspect_(peer, true);
-    } else if (!silent && suspected_.erase(peer) != 0) {
-      changed = true;
+                               << (now - p.last_heard) / 1000
+                               << " ms of silence");
+      if (on_suspect_) on_suspect_(id, true);
+    } else if (!silent && p.suspected) {
+      p.suspected = false;
+      suspected_count_.fetch_sub(1, kRelax);
       stats_.suspicions_cleared.fetch_add(1, kRelax);
-      HLOCK_LOG(kInfo, "node " << self_ << ": peer " << peer
+      HLOCK_LOG(kInfo, "node " << self_ << ": peer " << id
                                << " heard from again; suspicion cleared");
-      if (on_suspect_) on_suspect_(peer, false);
+      if (on_suspect_) on_suspect_(id, false);
     }
   }
-  if (changed) suspected_count_.store(suspected_.size(), kRelax);
 }
 
 TcpStats TcpNode::stats() const {

@@ -47,7 +47,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -151,7 +151,9 @@ class TcpNode {
 
   /// Provide the address book. Only peers with id < self() are dialed
   /// (the higher id accepts), which yields exactly one connection per
-  /// pair. Call from any thread before or after the loop starts.
+  /// pair. A peer dropped from the book is no longer dialed or watched by
+  /// the failure detector; its send window and dedup state stay. Call
+  /// from any thread before or after the loop starts.
   void set_peers(std::map<NodeId, PeerAddress> peers);
 
   /// Handler invoked on the loop thread for every received message.
@@ -178,10 +180,10 @@ class TcpNode {
   void send_control(NodeId to, std::vector<std::uint8_t> bytes);
 
   /// Administrative removal of a peer (e.g. declared dead by a view
-  /// change): close its connection, cancel re-dials, drop its address-book
-  /// entry, and discard its send window and receive-dedup state so
-  /// unacked() can drain. Frames queued for the peer are lost by design —
-  /// it is dead.
+  /// change): close its connections, cancel re-dials, and erase its whole
+  /// record — address-book entry, send window, receive-dedup state — so
+  /// unacked() can drain and a later incarnation starts fresh. Frames
+  /// queued for the peer are lost by design — it is dead.
   void forget_peer(NodeId peer);
 
   /// Peers currently suspected by the failure detector.
@@ -244,11 +246,16 @@ class TcpNode {
  private:
   /// Cap on iovecs per writev() — comfortably below any IOV_MAX.
   static constexpr int kMaxBatchFrames = 64;
+  /// Cap on 64 KiB recv() calls per readiness event (see on_conn_event).
+  static constexpr int kMaxReadsPerEvent = 16;
 
-  /// One frame in a connection outbox. Owns its bytes (a copy of the
-  /// window entry, or a moved control frame), so a cumulative ack that
-  /// trims the send window mid-flush can never free memory the iovec
-  /// batch still points at.
+  /// One frame in a connection outbox. Owns its bytes: data frames are
+  /// copied out of the send window once per (re)send, and the copy is
+  /// load-bearing. A cumulative ack can trim the window entry while its
+  /// bytes are still queued or half-written, and the piggyback stamp
+  /// writes only into the queued copy — a shared buffer would carry a
+  /// stale cumulative ack into a resend after the peer restarts, and that
+  /// ack would trim the new incarnation's window.
   struct OutFrame {
     std::vector<std::uint8_t> bytes;
     bool control{false};
@@ -280,18 +287,37 @@ class TcpNode {
     bool sent_once{false};  ///< queued to at least one connection already
   };
 
-  /// Per-peer reliable-delivery state on the send side.
-  struct SendState {
-    std::uint64_t next_seq{1};
-    std::deque<Unacked> window;  ///< oldest first; trimmed by acks
-  };
-
   /// Re-dial bookkeeping for peers this node dials (peer < self_).
   struct DialState {
     std::uint32_t failures{0};   ///< consecutive failures (backoff exponent)
     bool timer_pending{false};   ///< a backoff re-dial timer is queued
     std::uint64_t timer_id{0};
     int fd{-1};                  ///< in-flight connecting fd, -1 if none
+  };
+
+  /// Everything this node keeps about one peer (loop-confined). A record
+  /// outlives every connection to the peer; only forget_peer erases it.
+  struct Peer {
+    /// Address-book entry: present means "in the book" — dialed when this
+    /// side owns the dial, and watched by the failure detector.
+    std::optional<PeerAddress> address;
+    int fd{-1};  ///< established connection, -1 if none
+    DialState dial;
+    /// Send side: every accepted send() stays in `window` (oldest first)
+    /// until the peer acks it. Unbounded if the peer stays down — the same
+    /// deal the simulator's ReliableTransport offers.
+    std::uint64_t next_seq{1};
+    std::deque<Unacked> window;
+    /// Receive side: highest sequence number delivered (dedup; survives
+    /// connection churn, reset when the hello announces a new epoch).
+    std::uint64_t delivered_seq{0};
+    std::uint64_t epoch{0};  ///< last hello epoch; 0 until the first hello
+    bool ever_connected{false};  ///< greeted before: the next is a reconnect
+    /// Failure detector: last time any byte was heard from the peer,
+    /// seeded when it enters the book so a peer that never connects is
+    /// suspected after one full suspect_timeout.
+    TimePoint last_heard{0};
+    bool suspected{false};
   };
 
   void on_listen_ready();
@@ -305,13 +331,13 @@ class TcpNode {
   void schedule_redial(NodeId peer);
   void maybe_dial(NodeId peer);
   void established(Connection& c, bool outbound);
-  void register_peer(NodeId peer, int fd);
-  void resend_window(Connection& c);
+  void register_peer(Peer& p, int fd);
+  void resend_window(Connection& c, Peer& p);
   void queue_frame(Connection& c, std::vector<std::uint8_t> bytes,
                    bool control = false);
   void request_flush(Connection& c);
   void handle_frame(Connection& c, const DecodedFrame& f);
-  void process_ack(NodeId peer, std::uint64_t ack_seq);
+  void process_ack(NodeId id, Peer& p, std::uint64_t ack_seq);
   void queue_standalone_ack(Connection& c);
   bool try_stamp_queued_ack(Connection& c);
   void arm_ack_timer(Connection& c);
@@ -327,40 +353,23 @@ class TcpNode {
   NodeTransport transport_;
   int listen_fd_{-1};
   std::uint16_t listen_port_{0};
-  std::map<NodeId, PeerAddress> peers_;
+  /// The one NodeId-keyed table. A map, not a vector indexed by id: an
+  /// inbound hello may claim any NodeId, and must not size the table.
+  std::map<NodeId, Peer> peers_;
   std::map<int, std::unique_ptr<Connection>> conns_;  ///< by fd
-  std::map<NodeId, int> peer_fd_;  ///< established connections only
-  std::map<NodeId, DialState> dial_;
-  /// Send windows, one per peer: every accepted send() lives here until
-  /// its peer acks it. Unbounded if a peer stays down — the same deal the
-  /// simulator's ReliableTransport offers.
-  std::map<NodeId, SendState> send_;
-  /// Highest sequence number delivered per peer (receive-side dedup;
-  /// survives connection churn by construction, reset when the peer's
-  /// hello announces a new epoch).
-  std::map<NodeId, std::uint64_t> recv_seq_;
-  /// Last boot epoch each peer announced (0 = legacy peer, unknown).
-  std::map<NodeId, std::uint64_t> peer_epoch_;
-  /// Total frames across send_ windows (loop thread writes, any thread
+  /// Total frames across all send windows (loop thread writes, any thread
   /// reads via unacked()).
   std::atomic<std::size_t> unacked_frames_{0};
   /// Would-block accounting for send_window_limit: accepted-but-unacked
-  /// sends per peer. Mutex-guarded (not loop-confined like send_) because
-  /// send() must check-and-reserve from the caller's thread while the ack
-  /// handler trims on the loop thread. Untouched when the limit is 0.
+  /// sends per peer. Mutex-guarded (not loop-confined like Peer::window)
+  /// because send() must check-and-reserve from the caller's thread while
+  /// the ack handler trims on the loop thread. Untouched when the limit
+  /// is 0.
   std::mutex window_mu_;
   std::map<NodeId, std::size_t> window_pending_;
-  /// Peers that have been connected at least once (distinguishes a
-  /// reconnect from a first connect in stats()).
-  std::map<NodeId, bool> ever_connected_;
   std::function<void(const Message&)> handler_;
   std::function<void(NodeId, bool)> on_suspect_;
   std::function<void(NodeId, const DecodedFrame&)> control_handler_;
-  /// Failure detector (loop-confined): last time any byte was heard from
-  /// each peer in the book, seeded at set_peers so a peer that never
-  /// connects is suspected after one full window.
-  std::map<NodeId, TimePoint> last_heard_;
-  std::set<NodeId> suspected_;
   std::atomic<std::size_t> suspected_count_{0};
   std::atomic<std::uint64_t> delivered_{0};
   std::atomic<std::size_t> connected_peers_{0};

@@ -143,7 +143,6 @@ TEST(LiveService, FrameCarriesSeqAndPiggybackedAck) {
   ASSERT_TRUE(d.next_frame(f));
   EXPECT_FALSE(f.control);
   EXPECT_EQ(f.seq, 17u);
-  EXPECT_TRUE(f.has_ack);
   EXPECT_EQ(f.ack_seq, 12u);
   EXPECT_EQ(f.msg.lock, LockId{9});
   EXPECT_FALSE(d.next_frame(f));
@@ -155,7 +154,6 @@ TEST(LiveService, AckZeroMeansNoInformation) {
   d.feed(bytes.data(), bytes.size());
   DecodedFrame f;
   ASSERT_TRUE(d.next_frame(f));
-  EXPECT_TRUE(f.has_ack);
   EXPECT_EQ(f.ack_seq, 0u) << "ack 0 must survive as 'no info', not garbage";
 }
 
@@ -175,10 +173,9 @@ TEST(LiveService, AckFieldIsStampableInPlace) {
   EXPECT_EQ(f.msg.lock, LockId{2}) << "stamping must not corrupt the payload";
 }
 
-TEST(LiveService, LegacyV1DataFrameStillDecodes) {
+TEST(LiveService, DecoderRejectsV1DataFrame) {
   // Build a v1 frame by hand from a v2 one: drop the 8-byte ack field and
-  // rewrite the prefix without kAckFlagBit. Old-build peers emit exactly
-  // this layout.
+  // rewrite the prefix without kAckFlagBit. v2 is the only wire format.
   const auto v2 = frame(sample_message(5), /*seq=*/4);
   std::vector<std::uint8_t> v1;
   v1.reserve(v2.size());
@@ -195,34 +192,40 @@ TEST(LiveService, LegacyV1DataFrameStillDecodes) {
   FrameDecoder d;
   d.feed(v1.data(), v1.size());
   DecodedFrame f;
-  ASSERT_TRUE(d.next_frame(f));
-  EXPECT_FALSE(f.control);
-  EXPECT_EQ(f.seq, 4u);
-  EXPECT_FALSE(f.has_ack) << "v1 frames carry no ack information";
-  EXPECT_EQ(f.ack_seq, 0u);
-  EXPECT_EQ(f.msg.lock, LockId{5});
+  EXPECT_THROW(d.next_frame(f), DecodeError);
 }
 
 // --- wire format v2: the hello epoch ------------------------------------
 
-TEST(LiveService, HelloCarriesEpochAndLegacyHelloDecodesAsZero) {
-  const auto v2 = hello_frame(NodeId{3}, 0xdeadbeefULL);
+TEST(LiveService, HelloCarriesEpoch) {
+  const auto hello = hello_frame(NodeId{3}, 0xdeadbeefULL);
   FrameDecoder d;
-  d.feed(v2.data(), v2.size());
+  d.feed(hello.data(), hello.size());
   DecodedFrame f;
   ASSERT_TRUE(d.next_frame(f));
   ASSERT_TRUE(f.control);
   EXPECT_EQ(f.op, ControlOp::kHello);
   EXPECT_EQ(f.hello_node, NodeId{3});
   EXPECT_EQ(f.hello_epoch, 0xdeadbeefULL);
+}
 
-  // epoch 0 emits the legacy short body; it must decode as epoch 0.
-  const auto legacy = hello_frame(NodeId{4});
-  EXPECT_LT(legacy.size(), v2.size());
-  d.feed(legacy.data(), legacy.size());
-  ASSERT_TRUE(d.next_frame(f));
-  EXPECT_EQ(f.hello_node, NodeId{4});
-  EXPECT_EQ(f.hello_epoch, 0u);
+TEST(LiveService, DecoderRejectsHelloWithoutEpoch) {
+  // The v1 hello: control prefix, kHello, u32 NodeId, and no epoch.
+  const std::uint8_t v1_hello[9] = {0x05, 0x00, 0x00, 0x80,
+                                    static_cast<std::uint8_t>(ControlOp::kHello),
+                                    0x04, 0x00, 0x00, 0x00};
+  FrameDecoder d;
+  d.feed(v1_hello, sizeof v1_hello);
+  DecodedFrame f;
+  EXPECT_THROW(d.next_frame(f), DecodeError);
+}
+
+TEST(LiveService, DecoderRejectsEpochZeroHello) {
+  const auto hello = hello_frame(NodeId{4}, 0);
+  FrameDecoder d;
+  d.feed(hello.data(), hello.size());
+  DecodedFrame f;
+  EXPECT_THROW(d.next_frame(f), DecodeError);
 }
 
 TEST(LiveService, NodeEpochIsNonzeroAndStable) {
@@ -510,13 +513,14 @@ TEST(LiveService, SessionMuxRunsManySessionsOverLiveTcp) {
   EXPECT_TRUE(spin_until([&] {
     return cluster.node(0).unacked() == 0 && cluster.node(1).unacked() == 0;
   }));
+  // The muxes are loop-confined: inspect them only once the loops stopped.
+  cluster.stop();
   for (std::size_t i = 0; i < kNodes; ++i) {
     EXPECT_EQ(svc[i].mux->completed(), kSessions * kOpsPerSession);
     EXPECT_EQ(svc[i].mux->active(), 0u);
     for (std::uint32_t sid = 0; sid < kSessions; ++sid)
       EXPECT_FALSE(svc[i].mux->busy(sid));
   }
-  cluster.stop();
 }
 
 TEST(LiveService, SessionMuxRejectsDoubleStartOnBusySession) {

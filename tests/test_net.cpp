@@ -123,7 +123,7 @@ TEST(Framing, GarbageAfterValidFrameDecodesFirstThenThrows) {
 
 TEST(Framing, ControlFramesRoundTripAndStayOffTheMessagePath) {
   FrameDecoder dec;
-  const auto hello = hello_frame(NodeId{12});
+  const auto hello = hello_frame(NodeId{12}, /*epoch=*/1);
   const auto ping = ping_frame();
   dec.feed(hello.data(), hello.size());
   dec.feed(ping.data(), ping.size());
@@ -166,7 +166,7 @@ TEST(Framing, RejectsUnknownControlOpAndBadControlLength) {
 
 TEST(Framing, MessageSurvivesInterleavedControlFrames) {
   const Message m = sample_message(77);
-  std::vector<std::uint8_t> stream = hello_frame(NodeId{1});
+  std::vector<std::uint8_t> stream = hello_frame(NodeId{1}, /*epoch=*/1);
   const auto body = frame(m);
   stream.insert(stream.end(), body.begin(), body.end());
   const auto ping = ping_frame();

@@ -213,7 +213,7 @@ TEST(TcpFaults, GarbageBytesOnListenSocketAreContained) {
 
   // The node still accepts and serves a well-behaved peer.
   RawClient good(n.listen_port());
-  good.send_bytes(hello_frame(NodeId{7}));
+  good.send_bytes(hello_frame(NodeId{7}, /*epoch=*/1));
   good.send_bytes(frame(sample_message(42), 1));
   EXPECT_TRUE(spin_until([&] { return n.delivered() == 1; }));
   EXPECT_EQ(n.connected_peers(), 1u);
@@ -230,7 +230,7 @@ TEST(TcpFaults, MalformedFrameAfterHelloClosesConnAndPeerRecovers) {
 
   {
     RawClient peer(n.listen_port());
-    peer.send_bytes(hello_frame(NodeId{5}));
+    peer.send_bytes(hello_frame(NodeId{5}, /*epoch=*/1));
     ASSERT_TRUE(spin_until([&] { return n.connected_peers() == 1; }));
     peer.send_bytes(std::vector<std::uint8_t>(8, 0xFF));
     ASSERT_TRUE(spin_until([&] { return n.stats().decode_errors >= 1; }));
@@ -239,7 +239,7 @@ TEST(TcpFaults, MalformedFrameAfterHelloClosesConnAndPeerRecovers) {
 
   // Same peer id reconnects: the peer count must recover.
   RawClient again(n.listen_port());
-  again.send_bytes(hello_frame(NodeId{5}));
+  again.send_bytes(hello_frame(NodeId{5}, /*epoch=*/1));
   again.send_bytes(frame(sample_message(3), 1));
   EXPECT_TRUE(spin_until([&] { return n.connected_peers() == 1; }));
   EXPECT_TRUE(spin_until([&] { return n.delivered() == 1; }));
@@ -256,7 +256,7 @@ TEST(TcpFaults, MidFrameResetIsContained) {
   std::thread t([&] { n.loop().run(); });
 
   RawClient peer(n.listen_port());
-  peer.send_bytes(hello_frame(NodeId{9}));
+  peer.send_bytes(hello_frame(NodeId{9}, /*epoch=*/1));
   ASSERT_TRUE(spin_until([&] { return n.connected_peers() == 1; }));
   const auto full = frame(sample_message(5), 1);
   peer.send_prefix(full, full.size() / 2);
@@ -268,7 +268,7 @@ TEST(TcpFaults, MidFrameResetIsContained) {
 
   // Node is still alive and serving.
   RawClient good(n.listen_port());
-  good.send_bytes(hello_frame(NodeId{9}));
+  good.send_bytes(hello_frame(NodeId{9}, /*epoch=*/1));
   good.send_bytes(frame(sample_message(6), 1));
   EXPECT_TRUE(spin_until([&] { return n.delivered() == 1; }));
 
@@ -283,7 +283,7 @@ TEST(TcpFaults, ShutdownWrIsReapedNotLeaked) {
   std::thread t([&] { n.loop().run(); });
 
   RawClient peer(n.listen_port());
-  peer.send_bytes(hello_frame(NodeId{4}));
+  peer.send_bytes(hello_frame(NodeId{4}, /*epoch=*/1));
   ASSERT_TRUE(spin_until([&] { return n.connected_peers() == 1; }));
   peer.shutdown_write();
 
@@ -303,7 +303,7 @@ TEST(TcpFaults, HalfOpenPeerIsReapedByIdleTimeout) {
   std::thread t([&] { n.loop().run(); });
 
   RawClient silent(n.listen_port());
-  silent.send_bytes(hello_frame(NodeId{3}));
+  silent.send_bytes(hello_frame(NodeId{3}, /*epoch=*/1));
   ASSERT_TRUE(spin_until([&] { return n.connected_peers() == 1; }));
   // The client never answers pings; last_recv stalls past idle_timeout.
   EXPECT_TRUE(spin_until([&] { return n.stats().idle_closes >= 1; }, 3000));
@@ -317,8 +317,8 @@ TEST(TcpFaults, HalfOpenPeerIsReapedByIdleTimeout) {
 // --- satellite 2: a real lock with the old reserved hello id flows ------
 
 TEST(TcpFaults, LockIdThatMatchedLegacyHelloSentinelIsDelivered) {
+  DeliveryLog log;  // outlives the cluster's loop threads
   InProcessCluster cluster(2, fast_cfg());
-  DeliveryLog log;
   cluster.node(1).set_handler(log.handler());
   // 0xFFFFFFFE was the reserved hello lock id when the handshake rode on
   // MsgKind::kRequest; with control-frame hellos it is just another lock.
@@ -335,8 +335,10 @@ TEST(TcpFaults, LockIdThatMatchedLegacyHelloSentinelIsDelivered) {
 // --- connection churn under load: nothing lost, nothing duplicated ------
 
 TEST(TcpFaults, KilledConnectionsRequeueUnsentFramesExactlyOnce) {
-  InProcessCluster cluster(2, fast_cfg());
+  // The log outlives the cluster: a failed ASSERT returns early, and the
+  // loop threads may still deliver until the cluster's destructor joins.
   DeliveryLog log;
+  InProcessCluster cluster(2, fast_cfg());
   cluster.node(0).set_handler(log.handler());
 
   // Stall the receiver's loop so the sender's outbox backs up and the

@@ -206,6 +206,105 @@ TEST(FailureDetector, ForgetPeerDropsWindowAndStopsDialing) {
   ta.join();
 }
 
+TEST(FailureDetector, PeerDroppedFromBookIsNotSuspected) {
+  TcpNode a(NodeId{0}, 0, detect_cfg());
+  std::mutex mu;
+  std::vector<std::chrono::steady_clock::time_point> suspicions;
+  a.set_on_peer_suspected([&](NodeId, bool suspected) {
+    const std::lock_guard<std::mutex> g(mu);
+    if (suspected) suspicions.push_back(std::chrono::steady_clock::now());
+  });
+  const std::map<NodeId, PeerAddress> book{
+      {NodeId{1}, PeerAddress{"127.0.0.1", 1}}};  // nothing there
+  a.set_peers(book);
+  a.set_peers({});
+  std::thread ta([&] { a.loop().run(); });
+
+  // Dropped from the book: no longer monitored, so its silence is not news.
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  EXPECT_EQ(a.stats().peers_suspected, 0u);
+  EXPECT_EQ(a.suspected_peers(), 0u);
+  {
+    const std::lock_guard<std::mutex> g(mu);
+    EXPECT_TRUE(suspicions.empty()) << "fired=" << suspicions.size();
+  }
+
+  // Back in the book: a full suspect_timeout of grace from re-entry, then
+  // the usual suspicion.
+  const auto readded = std::chrono::steady_clock::now();
+  a.set_peers(book);
+  ASSERT_TRUE(spin_until([&] { return a.suspected_peers() == 1; }));
+  {
+    const std::lock_guard<std::mutex> g(mu);
+    ASSERT_EQ(suspicions.size(), 1u);
+    EXPECT_GE(suspicions[0] - readded, std::chrono::milliseconds(140));
+  }
+
+  a.loop().stop();
+  ta.join();
+}
+
+TEST(FailureDetector, ForgottenPeerRejoinsAsFreshIncarnation) {
+  TcpNode a(NodeId{0}, 0, detect_cfg());
+  std::mutex mu;
+  std::map<std::uint32_t, int> got;
+  a.set_handler([&](const Message& m) {
+    const std::lock_guard<std::mutex> g(mu);
+    ++got[m.lock.value];
+  });
+  std::thread ta([&] { a.loop().run(); });
+  const std::map<NodeId, PeerAddress> book{
+      {NodeId{0}, PeerAddress{"127.0.0.1", a.listen_port()}}};
+
+  {
+    TcpNode old_b(NodeId{1}, 0, detect_cfg());
+    old_b.set_peers(book);
+    std::thread tb([&] { old_b.loop().run(); });
+    for (std::uint32_t i = 0; i < 3; ++i)
+      old_b.send(NodeId{0}, sample_message(i));
+    ASSERT_TRUE(spin_until([&] {
+      return a.delivered() == 3 && old_b.unacked() == 0;
+    }));
+    old_b.loop().stop();
+    tb.join();
+  }
+  a.forget_peer(NodeId{1});
+  // Posted tasks run in order: once this one has run, so has forget_peer.
+  std::atomic<bool> forgotten{false};
+  a.loop().post([&] { forgotten = true; });
+  ASSERT_TRUE(spin_until([&] { return forgotten.load(); }));
+
+  // A fresh incarnation of node 1 numbers its frames from 1 again. With
+  // the old record erased they are new, not duplicates, and its first
+  // connection is not a reconnect.
+  TcpNode new_b(NodeId{1}, 0, detect_cfg());
+  std::atomic<int> new_b_got{0};
+  new_b.set_handler([&](const Message&) { new_b_got.fetch_add(1); });
+  new_b.set_peers(book);
+  std::thread tb([&] { new_b.loop().run(); });
+  for (std::uint32_t i = 100; i < 105; ++i)
+    new_b.send(NodeId{0}, sample_message(i));
+  EXPECT_TRUE(spin_until([&] { return a.delivered() == 8; }))
+      << "delivered " << a.delivered() << " of 8";
+  EXPECT_TRUE(spin_until([&] { return new_b.unacked() == 0; }));
+  a.send(NodeId{1}, sample_message(7));
+  EXPECT_TRUE(spin_until([&] { return new_b_got.load() == 1; }));
+  EXPECT_TRUE(spin_until([&] { return a.unacked() == 0; }));
+
+  a.loop().stop();
+  new_b.loop().stop();
+  ta.join();
+  tb.join();
+  {
+    const std::lock_guard<std::mutex> g(mu);
+    EXPECT_EQ(got.size(), 8u);
+    for (const auto& [lock, n] : got) EXPECT_EQ(n, 1) << "lock " << lock;
+  }
+  EXPECT_EQ(a.delivered(), 8u);
+  EXPECT_EQ(a.stats().reconnects, 0u);
+  EXPECT_EQ(a.stats().peer_restarts, 0u);
+}
+
 // --- view changes --------------------------------------------------------
 
 TEST(ViewService, ThreeNodeMeshCommitsViewOnKill) {
