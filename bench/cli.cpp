@@ -1,6 +1,5 @@
 #include "bench/cli.hpp"
 
-#include <cctype>
 #include <cstdlib>
 #include <iostream>
 
@@ -9,19 +8,12 @@
 
 namespace hlock::bench {
 
-namespace {
-
-[[noreturn]] void usage_error(const std::string& what, const char* usage) {
+void usage_error(const std::string& what, const char* usage) {
   std::cerr << "error: " << what << "\n" << usage;
   std::exit(2);
 }
 
-bool all_digits(const std::string& s) {
-  if (s.empty()) return false;
-  for (const char c : s)
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
-  return true;
-}
+namespace {
 
 // Strict flag-value parsing: the whole token must be a number, otherwise
 // it is a usage error — never a silent 0/truncation like the strtoul
@@ -72,8 +64,6 @@ CliOptions parse_cli(int argc, char** argv, const char* usage,
     };
     if (arg == "--nodes") {
       opt.nodes = parse_size(arg, value(), usage);
-    } else if (all_digits(arg)) {
-      opt.nodes = parse_size("--nodes", arg, usage);
     } else if (arg == "--ops") {
       opt.ops = parse_u32(arg, value(), usage);
     } else if (arg == "--seed") {

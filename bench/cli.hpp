@@ -22,8 +22,6 @@
 // Numeric values are parsed strictly: `--nodes abc` or `--seed 12x` is a
 // usage error (exit 2), never a silently mis-parsed sweep.
 //
-// A bare positional integer is accepted as --nodes for backward
-// compatibility with the old `fig5_message_overhead 40` invocation.
 // Binary-specific flags are handled via the `extra` callback.
 #pragma once
 
@@ -70,6 +68,9 @@ using ExtraFlag =
 CliOptions parse_cli(int argc, char** argv, const char* usage,
                      CliOptions defaults = {},
                      const ExtraFlag& extra = nullptr);
+
+/// Print "error: <what>" and `usage` to stderr, then exit with status 2.
+[[noreturn]] void usage_error(const std::string& what, const char* usage);
 
 /// Overlay --ops / --seed onto a spec whose fields hold the binary's
 /// defaults.

@@ -37,12 +37,6 @@ struct ClusterConfig {
   /// sim::ReliableTransport sublayer on every node.
   double loss_rate{0.0};
 
-  /// Simulation shards for the many-lock harness (classic clusters are
-  /// single-slab and ignore it). Part of the cache key: sharding is
-  /// output-invariant by construction, but the key must cover every
-  /// config field so a future violation cannot silently alias entries.
-  std::size_t shards{1};
-
   /// Cluster topology. clusters > 1 switches the network to the
   /// ClusteredLatency model (intra_latency_mean inside a cluster,
   /// inter_latency_mean across the boundary, same LatencyKind shape for

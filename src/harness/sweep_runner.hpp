@@ -51,11 +51,11 @@ class SweepRunner {
   /// regardless of the order the pool finishes them in.
   std::vector<ExperimentResult> run(const std::vector<SweepPoint>& points);
 
-  /// Generic parallel map for benches with custom rigs (path_length,
-  /// churn, recovery...): calls fn(i) for every i in [0, count) on the
-  /// pool. fn must be self-contained per index — it builds its own
-  /// simulator/rig and writes only to index-i slots of caller-owned
-  /// storage.
+  /// Generic parallel map for benches with custom rigs (paper_figures'
+  /// path_length, churn, recovery...): calls fn(i) for every i in
+  /// [0, count) on the pool. fn must be self-contained per index — it
+  /// builds its own simulator/rig and writes only to index-i slots of
+  /// caller-owned storage.
   void for_each_index(std::size_t count,
                       const std::function<void(std::size_t)>& fn);
 
