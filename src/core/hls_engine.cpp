@@ -180,7 +180,7 @@ void HlsEngine::start_local_request(PendingLocal req) {
       Message m;
       m.kind = MsgKind::kRequest;
       m.req = QueuedRequest{self_, Mode::kW, req.stamp, true, req.priority};
-      send(parent_, m);
+      send(parent_, std::move(m));
     }
     return;
   }
@@ -213,7 +213,7 @@ void HlsEngine::start_local_request(PendingLocal req) {
   Message m;
   m.kind = MsgKind::kRequest;
   m.req = QueuedRequest{self_, req.mode, req.stamp, false, req.priority};
-  send(parent_, m);
+  send(parent_, std::move(m));
 }
 
 void HlsEngine::admit_local(RequestId id, Mode mode) {
@@ -414,7 +414,7 @@ void HlsEngine::leave(NodeId successor_if_root) {
     Message r;
     r.kind = MsgKind::kReparent;
     r.req.requester = successor;
-    send(child, r);
+    send(child, std::move(r));
   }
   clear_children();
   sent_frozen_.clear();
@@ -435,7 +435,7 @@ void HlsEngine::leave(NodeId successor_if_root) {
       Message fwd;
       fwd.kind = MsgKind::kRequest;
       fwd.req = q;
-      send(parent_, fwd);
+      send(parent_, std::move(fwd));
     }
     queue_.clear();
     if (owned_something) {
@@ -446,7 +446,7 @@ void HlsEngine::leave(NodeId successor_if_root) {
       r.kind = MsgKind::kRelease;
       r.mode = kNone;
       r.grant_seq = grants_received_[parent_];
-      send(parent_, r);
+      send(parent_, std::move(r));
     }
   }
 
@@ -494,14 +494,14 @@ void HlsEngine::begin_recovery(std::uint32_t new_view, NodeId new_root,
       Message a;
       a.kind = MsgKind::kAttach;
       a.mode = owned_mode();
-      send(parent_, a);
+      send(parent_, std::move(a));
     }
     if (pending_) {
       Message m;
       m.kind = MsgKind::kRequest;
       m.req = QueuedRequest{self_, pending_->mode, pending_->stamp,
                             pending_->upgrade, pending_->priority};
-      send(parent_, m);
+      send(parent_, std::move(m));
     }
   } else if (pending_) {
     // The new root re-queues its own outstanding request; it is served
@@ -522,7 +522,7 @@ void HlsEngine::handle_departed(const Message& m) {
       Message fwd;
       fwd.kind = MsgKind::kRequest;
       fwd.req = m.req;
-      send(parent_, fwd);
+      send(parent_, std::move(fwd));
       return;
     }
     case MsgKind::kHandoff: {
@@ -536,7 +536,7 @@ void HlsEngine::handle_departed(const Message& m) {
       Message r;
       r.kind = MsgKind::kReparent;
       r.req.requester = parent_;
-      send(m.from, r);
+      send(m.from, std::move(r));
       return;
     }
     case MsgKind::kReparent:
@@ -563,7 +563,7 @@ void HlsEngine::handle_reparent(const Message& m) {
   a.kind = MsgKind::kAttach;
   a.mode = owned_mode();
   a.grant_seq = grants_received_[new_parent];
-  send(new_parent, a);
+  send(new_parent, std::move(a));
 }
 
 void HlsEngine::handle_attach(const Message& m) {
@@ -616,7 +616,7 @@ void HlsEngine::handle_request(const Message& m) {
       Message fwd;
       fwd.kind = MsgKind::kRequest;
       fwd.req = q;
-      send(parent_, fwd);
+      send(parent_, std::move(fwd));
       return;
     }
     // We are the root now: treat it exactly like the token-node branch of
@@ -698,7 +698,7 @@ void HlsEngine::handle_request_as_nontoken(const QueuedRequest& q) {
   Message fwd;
   fwd.kind = MsgKind::kRequest;
   fwd.req = q;
-  send(parent_, fwd);
+  send(parent_, std::move(fwd));
 }
 
 bool HlsEngine::try_serve_upgrade_as_token(const QueuedRequest& q) {
@@ -724,7 +724,7 @@ void HlsEngine::grant_copy(const QueuedRequest& q) {
   g.mode = q.mode;
   g.frozen = frozen_;
   g.grant_seq = ++grants_sent_[q.requester];
-  send(q.requester, g);
+  send(q.requester, std::move(g));
 }
 
 void HlsEngine::transfer_token(const QueuedRequest& q) {
@@ -1019,7 +1019,7 @@ void HlsEngine::check_queue_nontoken() {
     Message fwd;
     fwd.kind = MsgKind::kRequest;
     fwd.req = q;
-    send(parent_, fwd);
+    send(parent_, std::move(fwd));
     return false;
   });
 }
@@ -1037,7 +1037,7 @@ void HlsEngine::detach_from_old_parent(NodeId new_parent) {
   r.kind = MsgKind::kRelease;
   r.mode = kNone;
   r.grant_seq = grants_received_[parent_];
-  send(parent_, r);
+  send(parent_, std::move(r));
 }
 
 // ---------------------------------------------------------------------------
@@ -1053,7 +1053,7 @@ void HlsEngine::propagate_release_if_needed(Mode owned_before) {
   r.kind = MsgKind::kRelease;
   r.mode = now;
   r.grant_seq = grants_received_[parent_];
-  send(parent_, r);
+  send(parent_, std::move(r));
   if (now == kNone) {
     // We left the copyset entirely; frozen-set upkeep no longer reaches us.
     frozen_.clear();
@@ -1112,7 +1112,7 @@ void HlsEngine::push_freeze_updates() {
     Message f;
     f.kind = MsgKind::kFreeze;
     f.frozen = target;
-    send(child, f);
+    send(child, std::move(f));
   }
 }
 

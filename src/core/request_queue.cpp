@@ -55,10 +55,11 @@ QueuedRequest RequestQueue::take(std::size_t i) {
 
 void RequestQueue::merge_shipped(std::span<const QueuedRequest> shipped,
                                  bool by_priority) {
-  // Shipped entries go first, so the stable sort breaks stamp ties in
-  // their favour. Both steps are skipped when they would not move
-  // anything (a stable sort of a sorted range and a stable partition of a
-  // partitioned one are identities), which spares their temporary buffers.
+  // Shipped entries go first, so a stable order breaks stamp ties in their
+  // favour. Two sorted runs merge in linear time; an unsorted run falls
+  // back to a stable sort of the whole, which yields the same order. Each
+  // step is skipped when it would not move anything, which spares its
+  // temporary buffer.
   compact();
   items_.insert(items_.begin(), shipped.begin(), shipped.end());
   for (const QueuedRequest& q : shipped) add(q.mode);
@@ -67,8 +68,14 @@ void RequestQueue::merge_shipped(std::span<const QueuedRequest> shipped,
     if (by_priority) return priority_before(a, b);
     return a.stamp < b.stamp;
   };
-  if (!std::is_sorted(items_.begin(), items_.end(), before))
+  const auto mid = items_.begin() + static_cast<std::ptrdiff_t>(shipped.size());
+  if (!std::is_sorted(items_.begin(), mid, before) ||
+      !std::is_sorted(mid, items_.end(), before)) {
     std::stable_sort(items_.begin(), items_.end(), before);
+  } else if (mid != items_.begin() && mid != items_.end() &&
+             before(*mid, *(mid - 1))) {
+    std::inplace_merge(items_.begin(), mid, items_.end(), before);
+  }
   // Upgrades keep their Rule 7 priority across transfers.
   const auto is_upgrade = [](const QueuedRequest& r) { return r.upgrade; };
   if (!std::is_partitioned(items_.begin(), items_.end(), is_upgrade))

@@ -46,7 +46,7 @@ void NaimiEngine::start_request(RequestId id) {
   Message m;
   m.kind = MsgKind::kNaimiRequest;
   m.req.requester = self_;
-  send(father_, m);
+  send(father_, std::move(m));
   father_ = NodeId::invalid();  // we will be the root once served
 }
 
@@ -65,7 +65,7 @@ void NaimiEngine::release(RequestId id) {
     has_token_ = false;
     Message m;
     m.kind = MsgKind::kNaimiToken;
-    send(next_, m);
+    send(next_, std::move(m));
     next_ = NodeId::invalid();
   }
   pump_backlog();
@@ -92,13 +92,13 @@ void NaimiEngine::handle(const Message& m) {
           has_token_ = false;
           Message t;
           t.kind = MsgKind::kNaimiToken;
-          send(j, t);
+          send(j, std::move(t));
         }
       } else {
         Message fwd;
         fwd.kind = MsgKind::kNaimiRequest;
         fwd.req.requester = j;
-        send(father_, fwd);
+        send(father_, std::move(fwd));
       }
       father_ = j;  // path reversal
       return;

@@ -6,25 +6,24 @@
 
 namespace hlock::sim {
 
-void Simulator::push_event(TimePoint t, std::uint64_t key, Event ev) {
+Simulator::Event& Simulator::push_event(TimePoint t, std::uint64_t key) {
   if (t < now_) throw std::logic_error("scheduling into the past");
-  std::uint32_t slot;
+  std::uint32_t i;
   if (!free_.empty()) {
-    slot = free_.back();
+    i = free_.back();
     free_.pop_back();
-    slab_[slot] = std::move(ev);
   } else {
-    slot = static_cast<std::uint32_t>(slab_.size());
-    slab_.push_back(std::move(ev));
+    i = slots_++;
+    if ((i & (kChunkSize - 1)) == 0)
+      chunks_.push_back(std::make_unique<Event[]>(kChunkSize));
   }
-  heap_.push_back(HeapKey{t, key, next_seq_++, slot});
+  heap_.push_back(HeapKey{t, key, next_seq_++, i});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
+  return slot(i);
 }
 
 void Simulator::schedule_at(TimePoint t, EventFn fn) {
-  Event ev;
-  ev.fn = std::move(fn);
-  push_event(t, /*key=*/0, std::move(ev));
+  push_event(t, /*key=*/0).fn = std::move(fn);
 }
 
 void Simulator::schedule_cross_at(TimePoint t, std::uint64_t key,
@@ -40,20 +39,17 @@ void Simulator::schedule_cross_at(TimePoint t, std::uint64_t key,
           "cross event inside the executed horizon (lookahead unsafe)");
     now_ = t;
   }
-  Event ev;
-  ev.fn = std::move(fn);
-  push_event(t, key, std::move(ev));
+  push_event(t, key).fn = std::move(fn);
 }
 
 void Simulator::schedule_deliver_at(TimePoint t, DeliverFn fn, void* ctx,
-                                    NodeId from, NodeId to, Message msg) {
-  Event ev;
+                                    NodeId from, NodeId to, Message&& msg) {
+  Event& ev = push_event(t, /*key=*/0);
   ev.deliver = fn;
   ev.ctx = ctx;
   ev.from = from;
   ev.to = to;
   ev.msg = std::move(msg);
-  push_event(t, /*key=*/0, std::move(ev));
 }
 
 std::vector<QueuedRequest> Simulator::acquire_queue_buffer() {
@@ -74,24 +70,24 @@ bool Simulator::step() {
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   const HeapKey key = heap_.back();
   heap_.pop_back();
-  // Move the payload out before running it: the handler may schedule new
-  // events, and a slab reallocation must not invalidate what we are
-  // executing (deliver handlers hold a reference to `ev.msg`). The slot is
-  // freed immediately so a chain of schedule-one-run-one events reuses a
-  // single slot forever.
-  Event ev = std::move(slab_[key.slot]);
-  free_.push_back(key.slot);
+  // Run the event in its slot: chunks never move, so scheduling from the
+  // handler cannot invalidate `ev`, and the slot stays off the free list
+  // until the handler is done. It goes back blank (no closure, no deliver
+  // callback, no queue storage), so the schedule_* calls fill in only
+  // their own fields.
+  Event& ev = slot(key.slot);
   now_ = key.t;
   last_executed_ = key.t;
   ++processed_;
   if (ev.deliver != nullptr) {
     ev.deliver(ev.ctx, ev.from, ev.to, ev.msg);
+    recycle_queue_buffer(std::move(ev.msg.queue));
+    ev.deliver = nullptr;
   } else {
     ev.fn();
+    ev.fn = nullptr;  // releases the closure's captures now
   }
-  // Recycle the drained queue storage; the rest of `ev` dies here, which
-  // also releases any closure captures promptly.
-  recycle_queue_buffer(std::move(ev.msg.queue));
+  free_.push_back(key.slot);
   if (post_event_hook) post_event_hook();
   return true;
 }

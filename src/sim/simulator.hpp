@@ -14,21 +14,24 @@
 // that never allocates.
 //
 // The queue itself is an *index heap over a slab*: the binary heap orders
-// 24-byte (t, seq, slot) keys while the fat Event payloads (~200 bytes —
-// a std::function plus a Message carrying a QueuedRequest vector) sit
-// still in a free-list-recycled slab. Every push_heap/pop_heap sift moves
-// a key, not a payload, so heap maintenance costs O(log n) × 24 bytes
-// instead of O(log n) × 200. Slab slots and heap storage are recycled, so
-// steady-state scheduling performs zero heap allocations per event
-// (tests/test_event_slab.cpp counts them). Drained Message::queue vectors
-// are returned to a per-simulator pool and handed back out through
-// Transport::acquire_queue_buffer(), so token transfers stop churning the
-// allocator too.
+// 32-byte (t, key, seq, slot) keys while the fat Event payloads (~200
+// bytes — a std::function plus a Message carrying a QueuedRequest vector)
+// live in a slab of fixed 64-event chunks. Chunks are never moved, so an
+// event is written straight into its slot when scheduled and runs right
+// there: a handler may schedule (and so grow the slab) while it reads its
+// own Message by reference. A slot returns to the free list only after
+// its handler is done. Every sift moves a key, not a payload. Slots and
+// heap storage are recycled, so steady-state scheduling performs zero heap
+// allocations per event (tests/test_event_slab.cpp counts them). Drained
+// Message::queue vectors are returned to a per-simulator pool and handed
+// back out through Transport::acquire_queue_buffer(), so token transfers
+// stop churning the allocator too.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "common/types.hpp"
@@ -47,7 +50,7 @@ class Simulator {
 
   Simulator() {
     heap_.reserve(kInitialHeapCapacity);
-    slab_.reserve(kInitialHeapCapacity);
+    chunks_.reserve(kInitialHeapCapacity / kChunkSize);
     free_.reserve(kInitialHeapCapacity);
     queue_pool_.reserve(kQueuePoolCapacity);
   }
@@ -70,17 +73,10 @@ class Simulator {
   /// before last_executed() is a genuine causality violation and throws.
   void schedule_cross_at(TimePoint t, std::uint64_t key, EventFn fn);
   /// Schedule a message delivery at `t`: `fn(ctx, from, to, msg)` runs as
-  /// the event, with `msg` stored inline in the event (moved, not copied).
+  /// the event, with `msg` moved into the event's slot and handed to `fn`
+  /// by reference from there.
   void schedule_deliver_at(TimePoint t, DeliverFn fn, void* ctx, NodeId from,
-                           NodeId to, Message msg);
-
-  /// Pre-size the event heap for the expected number of *concurrently*
-  /// outstanding events (not total events).
-  void reserve(std::size_t n) {
-    heap_.reserve(n);
-    slab_.reserve(n);
-    free_.reserve(n);
-  }
+                           NodeId to, Message&& msg);
 
   [[nodiscard]] TimePoint now() const { return now_; }
   [[nodiscard]] bool empty() const { return heap_.empty(); }
@@ -135,7 +131,7 @@ class Simulator {
   [[nodiscard]] std::size_t free_slots() const { return free_.size(); }
   /// Total slab slots ever materialized = high-water mark of concurrently
   /// scheduled events (tests).
-  [[nodiscard]] std::size_t slab_size() const { return slab_.size(); }
+  [[nodiscard]] std::size_t slab_size() const { return slots_; }
 
   /// Invoked after every event; the invariant probes in tests hang here.
   std::function<void()> post_event_hook;
@@ -143,8 +139,10 @@ class Simulator {
  private:
   static constexpr std::size_t kInitialHeapCapacity = 1024;
   static constexpr std::size_t kQueuePoolCapacity = 64;
+  static constexpr std::uint32_t kChunkShift = 6;
+  static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
 
-  /// Fat payload, parked in the slab while its key sifts through the heap.
+  /// Fat payload: written into its slot, run there, then the slot is freed.
   struct Event {
     EventFn fn;  ///< generic closure; empty for deliver events
     // Deliver-event payload (used when `deliver` is non-null).
@@ -173,15 +171,20 @@ class Simulator {
     }
   };
 
-  void push_event(TimePoint t, std::uint64_t key, Event ev);
+  /// Claims a blank slot and queues its key; the caller fills the slot in.
+  Event& push_event(TimePoint t, std::uint64_t key);
+  Event& slot(std::uint32_t i) {
+    return chunks_[i >> kChunkShift][i & (kChunkSize - 1)];
+  }
 
-  /// Binary min-heap of keys by (t, seq) via std::push_heap/std::pop_heap
-  /// on a reserved vector (std::priority_queue exposes neither reserve()
-  /// nor a non-const top() to move events out of).
+  /// Binary min-heap of keys in Later order, kept by std::push_heap and
+  /// std::pop_heap on a reserved vector.
   std::vector<HeapKey> heap_;
-  /// Payload slab indexed by HeapKey::slot; grows to the high-water mark
-  /// of outstanding events and is then recycled through free_ forever.
-  std::vector<Event> slab_;
+  /// Payload slab: slot i is chunks_[i >> 6][i & 63]. It grows a chunk at
+  /// a time up to the high-water mark of outstanding events (slots_) and
+  /// is then recycled through free_ forever.
+  std::vector<std::unique_ptr<Event[]>> chunks_;
+  std::uint32_t slots_{0};
   std::vector<std::uint32_t> free_;
   /// Idle Message::queue storage (capacity retained, size zero).
   std::vector<std::vector<QueuedRequest>> queue_pool_;

@@ -1,7 +1,9 @@
-// Tests for the simulator's index-heap-over-slab event core (PR 3):
+// Tests for the simulator's index-heap-over-slab event core:
 // equal-timestamp FIFO across slot reuse, run_until boundary behavior,
-// free-list recycling under churn, queue-buffer pooling, and the
-// zero-steady-state-allocation guarantee.
+// free-list recycling under churn, queue-buffer pooling, the
+// zero-steady-state-allocation guarantee, and what running events in
+// place relies on (a handler's Message survives slab growth, its slot is
+// not reused while it runs, closure captures die with the step).
 //
 // This file overrides the global allocation functions to count heap
 // traffic. Each test file builds into its own executable (see
@@ -10,6 +12,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -38,6 +41,102 @@ namespace {
 void count_delivery(void* ctx, NodeId /*from*/, NodeId /*to*/,
                     Message& /*m*/) {
   ++*static_cast<int*>(ctx);
+}
+
+Message marked_message(std::uint32_t lock, std::uint32_t entries) {
+  Message m;
+  m.kind = MsgKind::kToken;
+  m.lock = LockId{lock};
+  for (std::uint32_t i = 0; i < entries; ++i)
+    m.queue.push_back(QueuedRequest{NodeId{i}, Mode::kW, {}, false, 0});
+  return m;
+}
+
+bool has_marks(const Message& m, std::uint32_t lock, std::uint32_t entries) {
+  if (m.kind != MsgKind::kToken || m.lock != LockId{lock} ||
+      m.queue.size() != entries)
+    return false;
+  for (std::uint32_t i = 0; i < entries; ++i) {
+    if (m.queue[i].requester != NodeId{i} || m.queue[i].mode != Mode::kW)
+      return false;
+  }
+  return true;
+}
+
+/// Context of a deliver handler that schedules `fanout` more deliveries
+/// while it runs and records what it saw of the simulator and its own
+/// Message afterwards.
+struct FanoutProbe {
+  Simulator* sim{nullptr};
+  int fanout{0};
+  std::size_t free_at_entry{0};
+  std::size_t slab_at_entry{0};
+  std::size_t slab_after{0};
+  bool intact_after{false};
+  int leaves{0};
+};
+
+void count_leaf(void* ctx, NodeId, NodeId, Message&) {
+  ++static_cast<FanoutProbe*>(ctx)->leaves;
+}
+
+void fan_out(void* ctx, NodeId, NodeId, Message& m) {
+  auto* p = static_cast<FanoutProbe*>(ctx);
+  p->free_at_entry = p->sim->free_slots();
+  p->slab_at_entry = p->sim->slab_size();
+  for (int i = 0; i < p->fanout; ++i) {
+    const auto lock = static_cast<std::uint32_t>(1000 + i);
+    p->sim->schedule_deliver_at(p->sim->now() + 1, &count_leaf, p, NodeId{0},
+                                NodeId{1}, marked_message(lock, 2));
+  }
+  p->slab_after = p->sim->slab_size();
+  p->intact_after = has_marks(m, 42, 5);
+}
+
+TEST(EventSlab, HandlerMessageSurvivesSlabGrowthMidHandler) {
+  Simulator s;
+  FanoutProbe probe{&s, /*fanout=*/200};
+  s.schedule_deliver_at(1, &fan_out, &probe, NodeId{0}, NodeId{1},
+                        marked_message(42, 5));
+  ASSERT_TRUE(s.step());
+  // 200 new events need slots beyond the first 64-event chunk, so the slab
+  // grew by several chunks while the handler held its Message.
+  EXPECT_EQ(probe.slab_at_entry, 1u);
+  EXPECT_GT(probe.slab_after, 3 * 64u);
+  EXPECT_TRUE(probe.intact_after) << "handler's Message changed under it";
+  s.run_all();
+  EXPECT_EQ(probe.leaves, 200);
+}
+
+TEST(EventSlab, RunningEventsSlotIsNotReusedUntilItsHandlerReturns) {
+  Simulator s;
+  FanoutProbe probe{&s, /*fanout=*/1};
+  s.schedule_deliver_at(1, &fan_out, &probe, NodeId{0}, NodeId{1},
+                        marked_message(42, 5));
+  ASSERT_TRUE(s.step());
+  // The running event's slot was the only one and stayed off the free
+  // list, so the event it scheduled got a new slot and did not overwrite
+  // the Message still in use.
+  EXPECT_EQ(probe.free_at_entry, 0u);
+  EXPECT_EQ(probe.slab_after, 2u);
+  EXPECT_TRUE(probe.intact_after);
+  // Once the handler returned, its slot went back on the free list.
+  EXPECT_EQ(s.free_slots(), 1u);
+  s.run_all();
+  EXPECT_EQ(s.free_slots(), s.slab_size());
+}
+
+TEST(EventSlab, ClosureCapturesDieWithTheStepThatRanThem) {
+  Simulator s;
+  auto token = std::make_shared<int>(7);
+  int seen = 0;
+  s.schedule_at(1, [token, &seen] { seen = *token; });
+  EXPECT_EQ(token.use_count(), 2);
+  ASSERT_TRUE(s.step());
+  EXPECT_EQ(seen, 7);
+  // The slot stays in the slab for reuse, but the closure in it must not
+  // keep its captures alive until then.
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(EventSlab, EqualTimestampFifoSurvivesSlotReuse) {

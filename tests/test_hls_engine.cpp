@@ -779,13 +779,17 @@ TEST(RequestQueue, EraseRequesterAndRetainKeepOrderAndCounts) {
 // Differential test against the plain-vector queue the engine used before:
 // random mixes of every mutation must leave the same entries in the same
 // order, counts equal to the contents, and the O(1) Rule 6 union equal to
-// the full scan for every owned mode.
+// the full scan for every owned mode. The model merges by a stable sort of
+// the whole queue; merge_shipped must match it both when it merges two
+// sorted runs and when a run is out of order and it sorts.
 TEST(RequestQueue, MatchesAPlainVectorModel) {
   for (const bool by_priority : {false, true}) {
     Rng rng(by_priority ? 17 : 11);
     RequestQueue q;
     std::vector<QueuedRequest> model;
     std::uint64_t clock = 0;
+    int interleaving_merges = 0;  // both runs sorted, concatenation not
+    int unsorted_merges = 0;      // a run out of order
     const auto random_request = [&] {
       // Mode 0 (kNone) is rare but legal on the wire; it freezes nothing.
       const auto mode = static_cast<Mode>(rng.next_below(20) == 0
@@ -834,7 +838,19 @@ TEST(RequestQueue, MatchesAPlainVectorModel) {
         const std::uint64_t n = rng.next_below(6);
         for (std::uint64_t k = 0; k < n; ++k)
           shipped.push_back(random_request());
-        std::stable_sort(shipped.begin(), shipped.end(), before);
+        // A shipped queue is usually in order; one with upgrades at its
+        // front, as the token node keeps it, need not be.
+        if (rng.next_below(4) != 0)
+          std::stable_sort(shipped.begin(), shipped.end(), before);
+        const bool runs_sorted =
+            std::is_sorted(shipped.begin(), shipped.end(), before) &&
+            std::is_sorted(model.begin(), model.end(), before);
+        if (!runs_sorted) {
+          ++unsorted_merges;
+        } else if (!shipped.empty() && !model.empty() &&
+                   before(model.front(), shipped.back())) {
+          ++interleaving_merges;
+        }
         q.merge_shipped(shipped, by_priority);
         model.insert(model.begin(), shipped.begin(), shipped.end());
         std::stable_sort(model.begin(), model.end(), before);
@@ -877,6 +893,8 @@ TEST(RequestQueue, MatchesAPlainVectorModel) {
             << "step " << step << " owned " << owned;
       }
     }
+    EXPECT_GT(interleaving_merges, 0);
+    EXPECT_GT(unsorted_merges, 0);
   }
 }
 
