@@ -1,6 +1,7 @@
 // Membership churn bench: a write-contended lock while nodes keep
 // departing gracefully. Measures how a departure wave affects acquisition
 // latency and what the handover costs in messages.
+#include <deque>
 #include <iostream>
 #include <iterator>
 #include <memory>
@@ -25,11 +26,12 @@ struct ChurnRig {
     for (std::size_t i = 0; i < n; ++i) {
       const NodeId id{static_cast<std::uint32_t>(i)};
       transports.push_back(std::make_unique<sim::SimTransport>(net, id));
-      core::EngineCallbacks cbs;
-      cbs.on_acquired = [this, i](RequestId rid, Mode) { on_acquired(i, rid); };
-      engines.push_back(std::make_unique<core::HlsEngine>(
-          LockId{0}, id, NodeId{0}, *transports.back(), core::EngineOptions{},
-          std::move(cbs)));
+      core::EngineContext& ctx = contexts.emplace_back(id, *transports.back());
+      ctx.on_acquired = [this, i](LockId, RequestId rid, Mode) {
+        on_acquired(i, rid);
+      };
+      engines.push_back(
+          std::make_unique<core::HlsEngine>(ctx, LockId{0}, NodeId{0}));
       core::HlsEngine* raw = engines.back().get();
       net.register_node(id, [raw](const Message& m) { raw->handle(m); });
     }
@@ -90,6 +92,8 @@ struct ChurnRig {
   sim::Simulator sim;
   sim::SimNetwork net;
   std::vector<std::unique_ptr<sim::SimTransport>> transports;
+  /// Per-node engine contexts; declared before the engines they outlive.
+  std::deque<core::EngineContext> contexts;
   std::vector<std::unique_ptr<core::HlsEngine>> engines;
   std::vector<bool> departed;
   std::vector<int> rounds;

@@ -3,6 +3,7 @@
 // Measures acquisition latency of a high-priority request class vs a
 // low-priority background class under write contention, with and without
 // the extension.
+#include <deque>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -27,13 +28,13 @@ struct Rig {
     for (std::size_t i = 0; i < n; ++i) {
       const NodeId id{static_cast<std::uint32_t>(i)};
       transports.push_back(std::make_unique<sim::SimTransport>(net, id));
-      core::EngineCallbacks cbs;
-      cbs.on_acquired = [this, i](RequestId rid, Mode) {
+      core::EngineContext& ctx =
+          contexts.emplace_back(id, *transports.back(), opts);
+      ctx.on_acquired = [this, i](LockId, RequestId rid, Mode) {
         on_acquired(i, rid);
       };
-      engines.push_back(std::make_unique<core::HlsEngine>(
-          LockId{0}, id, NodeId{0}, *transports.back(), opts,
-          std::move(cbs)));
+      engines.push_back(
+          std::make_unique<core::HlsEngine>(ctx, LockId{0}, NodeId{0}));
       core::HlsEngine* raw = engines.back().get();
       net.register_node(id, [raw](const Message& m) { raw->handle(m); });
     }
@@ -69,6 +70,8 @@ struct Rig {
   sim::Simulator sim;
   sim::SimNetwork net;
   std::vector<std::unique_ptr<sim::SimTransport>> transports;
+  /// Per-node engine contexts; declared before the engines they outlive.
+  std::deque<core::EngineContext> contexts;
   std::vector<std::unique_ptr<core::HlsEngine>> engines;
   std::vector<int> rounds;
   std::vector<TimePoint> issued;

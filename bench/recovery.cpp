@@ -2,6 +2,7 @@
 // Nodes hammer one lock; at a fixed point the current TOKEN HOLDER
 // crashes, the view service recovers the survivors, and we measure the
 // gap in successful acquisitions plus the recovery message cost.
+#include <deque>
 #include <iostream>
 #include <iterator>
 #include <memory>
@@ -29,8 +30,8 @@ struct Rig {
     for (std::size_t i = 0; i < n; ++i) {
       const NodeId id{static_cast<std::uint32_t>(i)};
       transports.push_back(std::make_unique<sim::SimTransport>(net, id));
-      core::EngineCallbacks cbs;
-      cbs.on_acquired = [this, i](RequestId rid, Mode) {
+      core::EngineContext& ctx = contexts.emplace_back(id, *transports.back());
+      ctx.on_acquired = [this, i](LockId, RequestId rid, Mode) {
         grant_times.push_back(sim.now());
         sim.schedule_after(msec(3), [this, i, rid] {
           if (!alive[i]) return;
@@ -38,9 +39,8 @@ struct Rig {
           request_later(i);
         });
       };
-      engines.push_back(std::make_unique<core::HlsEngine>(
-          LockId{0}, id, NodeId{0}, *transports.back(), core::EngineOptions{},
-          std::move(cbs)));
+      engines.push_back(
+          std::make_unique<core::HlsEngine>(ctx, LockId{0}, NodeId{0}));
       core::HlsEngine* raw = engines.back().get();
       net.register_node(id, [this, i, raw](const Message& m) {
         if (alive[i]) raw->handle(m);
@@ -93,6 +93,8 @@ struct Rig {
   sim::Simulator sim;
   sim::SimNetwork net;
   std::vector<std::unique_ptr<sim::SimTransport>> transports;
+  /// Per-node engine contexts; declared before the engines they outlive.
+  std::deque<core::EngineContext> contexts;
   std::vector<std::unique_ptr<core::HlsEngine>> engines;
   std::vector<bool> alive;
   std::vector<int> remaining;

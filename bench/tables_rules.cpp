@@ -111,7 +111,8 @@ void BM_LocalReacquire(benchmark::State& state) {
   struct NullTransport final : Transport {
     void send(NodeId, Message) override {}
   } transport;
-  core::HlsEngine engine(LockId{0}, NodeId{0}, NodeId{0}, transport);
+  const core::EngineContext ctx(NodeId{0}, transport);
+  core::HlsEngine engine(ctx, LockId{0}, NodeId{0});
   const RequestId base = engine.request_lock(Mode::kR);
   (void)base;
   for (auto _ : state) {

@@ -83,12 +83,12 @@ struct Cluster {
       const auto it = parents.find(names[i]);
       if (it != parents.end())
         initial_parent = NodeId{std::uint32_t(it->second - 'A')};
-      engines.emplace(
-          ids[i],
-          std::make_unique<HlsEngine>(
-              LockId{0}, ids[i], NodeId{std::uint32_t(token_holder - 'A')},
-              bus.port(ids[i]), core::EngineOptions{}, core::EngineCallbacks{},
-              initial_parent));
+      const core::EngineContext& ctx =
+          contexts.emplace_back(ids[i], bus.port(ids[i]));
+      engines.emplace(ids[i], std::make_unique<HlsEngine>(
+                                  ctx, LockId{0},
+                                  NodeId{std::uint32_t(token_holder - 'A')},
+                                  initial_parent));
       bus.register_engine(ids[i], engines.at(ids[i]).get());
     }
   }
@@ -103,10 +103,11 @@ struct Cluster {
                 << e.owned_mode() << "," << e.held_mode() << ","
                 << (e.has_pending() ? "P" : "0") << ")"
                 << (e.is_token_node() ? " [token]" : "");
-      if (!e.children().empty()) {
+      if (e.copyset_size() != 0) {
         std::cout << " children{";
-        for (const auto& [c, m] : e.children())
+        e.for_each_child([&](NodeId c, Mode m) {
           std::cout << labels.at(c) << ":" << m << " ";
+        });
         std::cout << "}";
       }
       if (!e.frozen().empty())
@@ -118,6 +119,8 @@ struct Cluster {
   Bus bus;
   std::vector<NodeId> ids;
   std::map<NodeId, char> labels;
+  /// Per-node engine contexts; declared before the engines they outlive.
+  std::deque<core::EngineContext> contexts;
   std::map<NodeId, std::unique_ptr<HlsEngine>> engines;
 };
 

@@ -32,13 +32,12 @@ struct LamportStamp {
   }
 };
 
-/// Per-node Lamport clock.
+/// Lamport clock. It keeps only the counter; the owner passes its node id
+/// when stamping, so a clock per lock costs 8 bytes.
 class LamportClock {
  public:
-  explicit LamportClock(NodeId self) : self_(self) {}
-
-  /// Stamp a locally originated event.
-  LamportStamp tick() { return LamportStamp{++counter_, self_}; }
+  /// Stamp an event originated by `self`.
+  LamportStamp tick(NodeId self) { return LamportStamp{++counter_, self}; }
 
   /// Fold in a timestamp observed on an incoming message.
   void observe(const LamportStamp& remote) {
@@ -48,7 +47,6 @@ class LamportClock {
   [[nodiscard]] std::uint64_t counter() const { return counter_; }
 
  private:
-  NodeId self_;
   std::uint64_t counter_{0};
 };
 

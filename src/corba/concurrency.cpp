@@ -218,11 +218,17 @@ std::optional<LockHandle> ConcurrencyService::lock_with_deadline(
     return handle;
   }
   // Deadline expired: cancel on the loop thread. The grant may still race
-  // us there; cancel() tells us which way it went.
-  const RequestId rid = w->request;
+  // us there; cancel() tells us which way it went. The request id is read
+  // there too: loop posts run in order, so the request task has run by
+  // then, even when the deadline expired before it started.
   lk.unlock();
   auto outcome = std::make_shared<Waiter>();
-  node_.loop().post([this, id, rid, w, outcome] {
+  node_.loop().post([this, id, w, outcome] {
+    RequestId rid;
+    {
+      const std::lock_guard<std::mutex> wg(w->mutex);
+      rid = w->request;
+    }
     bool now_held = false;
     try {
       if (rid.valid()) now_held = !hls_.engine(id).cancel(rid);

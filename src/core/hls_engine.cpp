@@ -12,22 +12,18 @@ namespace {
 constexpr Mode kNone = Mode::kNone;
 }
 
-HlsEngine::HlsEngine(LockId lock, NodeId self, NodeId initial_token_holder,
-                     Transport& transport, EngineOptions opts,
-                     EngineCallbacks callbacks, NodeId initial_parent)
-    : lock_(lock),
-      self_(self),
-      transport_(transport),
-      opts_(opts),
-      has_token_(self == initial_token_holder),
-      callbacks_(std::move(callbacks)),
-      parent_(has_token_ ? NodeId::invalid()
-                         : (initial_parent.valid() ? initial_parent
-                                                   : initial_token_holder)),
-      lamport_(self) {
-  if (!self.valid() || !initial_token_holder.valid())
+HlsEngine::HlsEngine(const EngineContext& ctx, LockId lock,
+                     NodeId initial_token_holder, NodeId initial_parent)
+    : ctx_(&ctx),
+      lock_(lock),
+      parent_(ctx.self == initial_token_holder
+                  ? NodeId::invalid()
+                  : (initial_parent.valid() ? initial_parent
+                                            : initial_token_holder)),
+      has_token_(ctx.self == initial_token_holder) {
+  if (!ctx.self.valid() || !initial_token_holder.valid())
     throw std::invalid_argument("invalid node id");
-  if (parent_ == self_)
+  if (parent_ == ctx.self)
     throw std::invalid_argument("a node cannot be its own parent");
 }
 
@@ -63,10 +59,19 @@ Mode HlsEngine::owned_mode() const {
   return strongest(held_mode(), children_mode());
 }
 
-Mode HlsEngine::owned_mode_excluding_child(NodeId child) const {
+Mode HlsEngine::child_mode(NodeId child) const {
   const auto it = children_.find(child);
-  const Mode excluded = it == children_.end() ? kNone : it->second;
-  return strongest_counted(child_mode_count_, held_mode(), excluded);
+  return it == children_.end() ? kNone : it->second.owned;
+}
+
+std::size_t HlsEngine::copyset_size() const {
+  std::size_t n = 0;
+  for (const Mode r : kRealModes) n += child_mode_count_[static_cast<int>(r)];
+  return n;
+}
+
+Mode HlsEngine::owned_mode_excluding_child(NodeId child) const {
+  return strongest_counted(child_mode_count_, held_mode(), child_mode(child));
 }
 
 Mode HlsEngine::owned_mode_excluding_hold(RequestId id) const {
@@ -79,24 +84,20 @@ Mode HlsEngine::owned_mode_excluding_hold(RequestId id) const {
 // Aggregate-maintaining mutators
 // ---------------------------------------------------------------------------
 
-void HlsEngine::set_child(NodeId child, Mode mode) {
+void HlsEngine::set_owned(ChildRecord& rec, Mode mode) {
   freeze_sync_needed_ = true;
-  const auto [it, inserted] = children_.try_emplace(child, mode);
-  if (inserted) {
-    ++child_mode_count_[static_cast<int>(mode)];
-    return;
-  }
-  --child_mode_count_[static_cast<int>(it->second)];
-  ++child_mode_count_[static_cast<int>(mode)];
-  it->second = mode;
+  if (rec.owned != kNone) --child_mode_count_[static_cast<int>(rec.owned)];
+  if (mode != kNone) ++child_mode_count_[static_cast<int>(mode)];
+  rec.owned = mode;
 }
 
 void HlsEngine::erase_child(NodeId child) {
   freeze_sync_needed_ = true;
   const auto it = children_.find(child);
   if (it == children_.end()) return;
-  --child_mode_count_[static_cast<int>(it->second)];
-  children_.erase(it);
+  set_owned(it->second, kNone);
+  it->second.sent_frozen.clear();
+  if (it->second.grants_sent == 0) children_.erase(it);
 }
 
 void HlsEngine::clear_children() {
@@ -121,16 +122,21 @@ void HlsEngine::erase_hold(FlatMap<RequestId, Mode>::iterator it) {
   holds_.erase(it);
 }
 
+HlsEngine::SideRecord& HlsEngine::side() {
+  if (!side_) side_ = std::make_unique<SideRecord>();
+  return *side_;
+}
+
 RequestId HlsEngine::fresh_request_id() {
-  return RequestId{(static_cast<std::uint64_t>(self_.value) << 32) |
+  return RequestId{(static_cast<std::uint64_t>(ctx_->self.value) << 32) |
                    next_request_++};
 }
 
 void HlsEngine::send(NodeId to, Message m) {
   m.lock = lock_;
-  m.from = self_;
+  m.from = ctx_->self;
   m.view = view_;
-  transport_.send(to, std::move(m));
+  ctx_->transport.send(to, std::move(m));
 }
 
 // ---------------------------------------------------------------------------
@@ -142,10 +148,10 @@ RequestId HlsEngine::request_lock(Mode mode, std::uint8_t priority) {
   PendingLocal req;
   req.id = fresh_request_id();
   req.mode = mode;
-  req.stamp = lamport_.tick();
+  req.stamp = lamport_.tick(ctx_->self);
   req.upgrade = false;
   req.priority = priority;
-  if (pending_ || !backlog_.empty()) {
+  if (has_pending() || !backlog_.empty()) {
     backlog_.push_back(req);
   } else {
     start_local_request(req);
@@ -156,15 +162,15 @@ RequestId HlsEngine::request_lock(Mode mode, std::uint8_t priority) {
 void HlsEngine::start_local_request(PendingLocal req) {
   const Mode mo = owned_mode();
   const bool frozen_blocks =
-      opts_.enable_freezing && frozen_.contains(req.mode);
+      ctx_->opts.enable_freezing && frozen_.contains(req.mode);
 
   if (req.upgrade) {
     // Rule 7. The hold stays U throughout; no release happens.
     upgrading_hold_ = req.id;
     if (has_token_ && owned_mode_excluding_hold(req.id) == kNone) {
       set_hold(req.id, Mode::kW);
-      upgrading_hold_.reset();
-      if (callbacks_.on_upgraded) callbacks_.on_upgraded(req.id);
+      upgrading_hold_ = RequestId::invalid();
+      if (ctx_->on_upgraded) ctx_->on_upgraded(lock_, req.id);
       return;
     }
     pending_ = req;
@@ -172,14 +178,15 @@ void HlsEngine::start_local_request(PendingLocal req) {
       // Rule 7 gives upgrades priority: a queued request incompatible
       // with the held U necessarily arrived after it, and serving it
       // first would deadlock against the never-released U.
-      enqueue(QueuedRequest{self_, Mode::kW, req.stamp, true,
+      enqueue(QueuedRequest{ctx_->self, Mode::kW, req.stamp, true,
                             req.priority});
       recompute_frozen_token();
       push_freeze_updates();
     } else {
       Message m;
       m.kind = MsgKind::kRequest;
-      m.req = QueuedRequest{self_, Mode::kW, req.stamp, true, req.priority};
+      m.req =
+          QueuedRequest{ctx_->self, Mode::kW, req.stamp, true, req.priority};
       send(parent_, std::move(m));
     }
     return;
@@ -191,12 +198,13 @@ void HlsEngine::start_local_request(PendingLocal req) {
     // During a recovery barrier only Rule 2's non-token condition is safe
     // (survivor holds may still be unregistered).
     if (compatible(mo, req.mode) && !frozen_blocks &&
-        (recovery_waiting_.empty() || stronger_or_equal(mo, req.mode))) {
+        (!barrier_open() || stronger_or_equal(mo, req.mode))) {
       admit_local(req.id, req.mode);
       return;
     }
     pending_ = req;
-    enqueue(QueuedRequest{self_, req.mode, req.stamp, false, req.priority});
+    enqueue(
+        QueuedRequest{ctx_->self, req.mode, req.stamp, false, req.priority});
     recompute_frozen_token();
     push_freeze_updates();
     return;
@@ -212,12 +220,13 @@ void HlsEngine::start_local_request(PendingLocal req) {
   pending_ = req;
   Message m;
   m.kind = MsgKind::kRequest;
-  m.req = QueuedRequest{self_, req.mode, req.stamp, false, req.priority};
+  m.req =
+      QueuedRequest{ctx_->self, req.mode, req.stamp, false, req.priority};
   send(parent_, std::move(m));
 }
 
 void HlsEngine::admit_local(RequestId id, Mode mode) {
-  if (cancelled_.erase(id) > 0) {
+  if (side_ && side_->cancelled.erase(id) > 0) {
     // Cancelled while in flight: the grant is accounted and immediately
     // released, with no application callback.
     set_hold(id, mode);
@@ -225,14 +234,13 @@ void HlsEngine::admit_local(RequestId id, Mode mode) {
     return;
   }
   set_hold(id, mode);
-  HLOCK_LOG(kTrace, "node " << self_ << " lock " << lock_ << " acquired "
-                            << mode << " locally");
-  if (callbacks_.on_acquired) callbacks_.on_acquired(id, mode);
+  HLOCK_LOG(kTrace, "node " << ctx_->self << " lock " << lock_
+                            << " acquired " << mode << " locally");
+  if (ctx_->on_acquired) ctx_->on_acquired(lock_, id, mode);
 }
 
 bool HlsEngine::cancel(RequestId id) {
-  if (upgrading_hold_ == id || (pending_ && pending_->upgrade &&
-                                pending_->id == id))
+  if (upgrading(id) || (pending_.upgrade && pending_.id == id))
     throw std::logic_error("cannot cancel an upgrade (U stays held)");
   if (holds_.count(id) != 0) return false;  // already granted
   for (auto it = backlog_.begin(); it != backlog_.end(); ++it) {
@@ -241,10 +249,8 @@ bool HlsEngine::cancel(RequestId id) {
       return true;
     }
   }
-  if (pending_ && pending_->id == id) {
-    if (pending_->upgrade)
-      throw std::logic_error("cannot cancel an upgrade (U stays held)");
-    cancelled_.insert(id);
+  if (has_pending() && pending_.id == id) {
+    side().cancelled.insert(id);
     return true;
   }
   throw std::logic_error("cancel of unknown or already-released request");
@@ -254,11 +260,12 @@ std::optional<RequestId> HlsEngine::try_request_lock(Mode mode) {
   if (mode == kNone) throw std::invalid_argument("cannot request mode ∅");
   // An earlier local request is still outstanding; granting out of order
   // would break per-node FIFO.
-  if (pending_ || !backlog_.empty()) return std::nullopt;
+  if (has_pending() || !backlog_.empty()) return std::nullopt;
   const Mode mo = owned_mode();
-  const bool frozen_blocks = opts_.enable_freezing && frozen_.contains(mode);
+  const bool frozen_blocks =
+      ctx_->opts.enable_freezing && frozen_.contains(mode);
   const bool admissible =
-      has_token_ && recovery_waiting_.empty()
+      has_token_ && !barrier_open()
           ? (compatible(mo, mode) && !frozen_blocks)
           : (stronger_or_equal(mo, mode) && compatible(mo, mode) &&
              !frozen_blocks);
@@ -276,7 +283,7 @@ void HlsEngine::downgrade(RequestId id, Mode mode) {
   const auto it = holds_.find(id);
   if (it == holds_.end())
     throw std::logic_error("downgrade of unheld request");
-  if (upgrading_hold_ == id)
+  if (upgrading(id))
     throw std::logic_error("downgrade of a hold with an upgrade in flight");
   if (!safe_downgrade(it->second, mode))
     throw std::logic_error("not a safe downgrade");
@@ -299,7 +306,7 @@ void HlsEngine::downgrade(RequestId id, Mode mode) {
 void HlsEngine::unlock(RequestId id) {
   const auto it = holds_.find(id);
   if (it == holds_.end()) throw std::logic_error("unlock of unheld request");
-  if (upgrading_hold_ == id)
+  if (upgrading(id))
     throw std::logic_error("unlock of a hold with an upgrade in flight");
   const Mode owned_before = owned_mode();
   erase_hold(it);
@@ -321,13 +328,14 @@ void HlsEngine::upgrade(RequestId id) {
   const auto it = holds_.find(id);
   if (it == holds_.end() || it->second != Mode::kU)
     throw std::logic_error("upgrade requires a held U lock");
-  if (upgrading_hold_) throw std::logic_error("upgrade already in flight");
+  if (upgrading_hold_.valid())
+    throw std::logic_error("upgrade already in flight");
   PendingLocal req;
   req.id = id;  // the upgrade keeps the original request id
   req.mode = Mode::kW;
-  req.stamp = lamport_.tick();
+  req.stamp = lamport_.tick(ctx_->self);
   req.upgrade = true;
-  if (pending_ || !backlog_.empty()) {
+  if (has_pending() || !backlog_.empty()) {
     backlog_.push_back(req);
   } else {
     start_local_request(req);
@@ -335,7 +343,7 @@ void HlsEngine::upgrade(RequestId id) {
 }
 
 void HlsEngine::pump_backlog() {
-  while (!pending_ && !backlog_.empty()) {
+  while (!has_pending() && !backlog_.empty()) {
     PendingLocal req = backlog_.front();
     backlog_.erase(backlog_.begin());
     start_local_request(req);
@@ -343,12 +351,12 @@ void HlsEngine::pump_backlog() {
 }
 
 void HlsEngine::resolve_pending_with_grant(Mode mode) {
-  const PendingLocal req = *pending_;
-  pending_.reset();
+  const PendingLocal req = pending_;
+  pending_ = {};
   if (req.upgrade) {
     set_hold(req.id, Mode::kW);
-    upgrading_hold_.reset();
-    if (callbacks_.on_upgraded) callbacks_.on_upgraded(req.id);
+    upgrading_hold_ = RequestId::invalid();
+    if (ctx_->on_upgraded) ctx_->on_upgraded(lock_, req.id);
   } else {
     admit_local(req.id, mode);
   }
@@ -361,7 +369,7 @@ void HlsEngine::resolve_pending_with_grant(Mode mode) {
 void HlsEngine::handle(const Message& m) {
   if (m.lock != lock_) {
     std::ostringstream os;
-    os << "message for wrong lock: engine (node " << self_ << ", lock "
+    os << "message for wrong lock: engine (node " << ctx_->self << ", lock "
        << lock_ << ") got " << to_string(m.kind) << " for lock " << m.lock
        << " from " << m.from;
     throw std::logic_error(os.str());
@@ -370,7 +378,7 @@ void HlsEngine::handle(const Message& m) {
     // Fencing: traffic from a pre-recovery view (e.g. the old token still
     // in flight when the crash was declared) must not contaminate the
     // rebuilt tree.
-    HLOCK_LOG(kDebug, "node " << self_ << " drops view-" << m.view
+    HLOCK_LOG(kDebug, "node " << ctx_->self << " drops view-" << m.view
                               << " message in view " << view_);
     return;
   }
@@ -398,31 +406,30 @@ void HlsEngine::handle(const Message& m) {
 void HlsEngine::leave(NodeId successor_if_root) {
   if (departed_) throw std::logic_error("already departed");
   if (!holds_.empty()) throw std::logic_error("leave with live holds");
-  if (pending_ || !backlog_.empty())
+  if (has_pending() || !backlog_.empty())
     throw std::logic_error("leave with outstanding requests");
 
   const NodeId successor = has_token_ ? successor_if_root : parent_;
-  if (!successor.valid() || successor == self_)
+  if (!successor.valid() || successor == ctx_->self)
     throw std::invalid_argument("leave requires a valid successor");
 
   // Children re-attach themselves: they answer with kAttach carrying
   // their authoritative owned mode on their own (FIFO) channel to the
   // successor, which closes the delegate-vs-release races a push-style
   // handover would have.
-  const bool owned_something = !children_.empty();
-  for (const auto& [child, mode] : children_) {
+  const bool owned_something = copyset_size() != 0;
+  for_each_child([&](NodeId child, Mode) {
     Message r;
     r.kind = MsgKind::kReparent;
     r.req.requester = successor;
     send(child, std::move(r));
-  }
+  });
   clear_children();
-  sent_frozen_.clear();
 
   if (has_token_) {
     Message h;
     h.kind = MsgKind::kHandoff;
-    h.queue = transport_.acquire_queue_buffer();
+    h.queue = ctx_->transport.acquire_queue_buffer();
     queue_.ship_into(h.queue);
     h.grant_seq = locality_streak_;  // see transfer_token
     locality_streak_ = 0;
@@ -461,30 +468,29 @@ void HlsEngine::begin_recovery(std::uint32_t new_view, NodeId new_root,
   if (new_view <= view_)
     throw std::invalid_argument("recovery view must increase");
   if (!new_root.valid()) throw std::invalid_argument("invalid new root");
-  if (survivors.count(self_) == 0 || survivors.count(new_root) == 0)
+  if (survivors.count(ctx_->self) == 0 || survivors.count(new_root) == 0)
     throw std::invalid_argument("survivors must include self and new root");
   view_ = new_view;
 
   // Tree state is rebuilt from scratch; local intent (holds, pending,
   // backlog) survives.
   clear_children();
-  sent_frozen_.clear();
   queue_.clear();
   frozen_.clear();
-  grants_sent_.clear();
   grants_received_.clear();
   // The head-bypass streak is token state; a regenerated token starts
   // fresh or the pre-crash streak would wrongly suppress (or permit)
   // bypasses in the new view.
   locality_streak_ = 0;
 
-  has_token_ = self_ == new_root;
+  has_token_ = ctx_->self == new_root;
   parent_ = has_token_ ? NodeId::invalid() : new_root;
-  recovery_waiting_.clear();
+  if (side_) side_->recovery_waiting.clear();
 
-  if (has_token_) {
-    recovery_waiting_.insert(survivors.begin(), survivors.end());
-    recovery_waiting_.erase(self_);
+  if (has_token_ && survivors.size() > 1) {
+    FlatSet<NodeId>& waiting = side().recovery_waiting;
+    waiting.insert(survivors.begin(), survivors.end());
+    waiting.erase(ctx_->self);
   }
 
   if (!has_token_) {
@@ -496,20 +502,20 @@ void HlsEngine::begin_recovery(std::uint32_t new_view, NodeId new_root,
       a.mode = owned_mode();
       send(parent_, std::move(a));
     }
-    if (pending_) {
+    if (has_pending()) {
       Message m;
       m.kind = MsgKind::kRequest;
-      m.req = QueuedRequest{self_, pending_->mode, pending_->stamp,
-                            pending_->upgrade, pending_->priority};
+      m.req = QueuedRequest{ctx_->self, pending_.mode, pending_.stamp,
+                            pending_.upgrade, pending_.priority};
       send(parent_, std::move(m));
     }
-  } else if (pending_) {
+  } else if (has_pending()) {
     // The new root re-queues its own outstanding request; it is served
     // when the barrier completes.
-    enqueue(QueuedRequest{self_, pending_->mode, pending_->stamp,
-                          pending_->upgrade, pending_->priority});
+    enqueue(QueuedRequest{ctx_->self, pending_.mode, pending_.stamp,
+                          pending_.upgrade, pending_.priority});
   }
-  if (has_token_ && recovery_waiting_.empty()) {
+  if (has_token_ && !barrier_open()) {
     check_queue_token();
     if (has_token_) recompute_frozen_token();
   }
@@ -547,7 +553,7 @@ void HlsEngine::handle_departed(const Message& m) {
     case MsgKind::kFreeze:
       return;  // stale; the sender has been / will be re-parented
     default:
-      HLOCK_LOG(kError, "departed node " << self_ << " got "
+      HLOCK_LOG(kError, "departed node " << ctx_->self << " got "
                                          << to_string(m.kind));
       return;
   }
@@ -556,7 +562,7 @@ void HlsEngine::handle_departed(const Message& m) {
 void HlsEngine::handle_reparent(const Message& m) {
   if (has_token_) return;  // stale: we became the root meanwhile
   const NodeId new_parent = m.req.requester;
-  if (!new_parent.valid() || new_parent == self_) return;
+  if (!new_parent.valid() || new_parent == ctx_->self) return;
   parent_ = new_parent;
   if (owned_mode() == kNone) return;  // plain probable-owner hint update
   Message a;
@@ -567,13 +573,14 @@ void HlsEngine::handle_reparent(const Message& m) {
 }
 
 void HlsEngine::handle_attach(const Message& m) {
-  const bool barrier_open = !recovery_waiting_.empty();
-  recovery_waiting_.erase(m.from);
+  const bool was_open = barrier_open();
+  if (was_open) side_->recovery_waiting.erase(m.from);
   if (m.mode != kNone) {
-    set_child(m.from, m.mode);   // authoritative snapshot from the child
-    sent_frozen_.erase(m.from);  // unknown; recomputed on the next push
+    ChildRecord& rec = children_[m.from];
+    set_owned(rec, m.mode);   // authoritative snapshot from the child
+    rec.sent_frozen.clear();  // unknown; recomputed on the next push
   }
-  if (barrier_open && !recovery_waiting_.empty()) return;  // still waiting
+  if (was_open && barrier_open()) return;  // still waiting
   if (has_token_) {
     check_queue_token();
     if (has_token_) {
@@ -592,7 +599,7 @@ void HlsEngine::handle_handoff(const Message& m) {
   locality_streak_ = static_cast<std::uint32_t>(
       std::min<std::uint64_t>(m.grant_seq, 0xffffffffULL));
 
-  queue_.merge_shipped(m.queue, opts_.enable_priorities);
+  queue_.merge_shipped(m.queue, ctx_->opts.enable_priorities);
 
   check_queue_token();
   if (has_token_) {
@@ -606,12 +613,12 @@ void HlsEngine::handle_request(const Message& m) {
   QueuedRequest q = m.req;
   lamport_.observe(q.stamp);
 
-  if (q.requester == self_) {
+  if (q.requester == ctx_->self) {
     // A request of ours was routed back to us (it was queued at an
     // intermediate node which later forwarded it while we became its
     // parent, or we became the root in the meantime).
-    HLOCK_LOG(kDebug, "node " << self_ << " saw its own request return");
-    if (!pending_ || pending_->stamp != q.stamp) return;  // already served
+    HLOCK_LOG(kDebug, "node " << ctx_->self << " saw its own request return");
+    if (!has_pending() || pending_.stamp != q.stamp) return;  // already served
     if (!has_token_) {
       Message fwd;
       fwd.kind = MsgKind::kRequest;
@@ -623,12 +630,12 @@ void HlsEngine::handle_request(const Message& m) {
     // RequestLock — admit if possible, otherwise queue as a self entry.
     const auto queued = queue_.entries();
     if (std::find_if(queued.begin(), queued.end(), [&](const QueuedRequest& r) {
-          return r.requester == self_ && r.stamp == q.stamp;
+          return r.requester == ctx_->self && r.stamp == q.stamp;
         }) != queued.end()) {
       return;  // already queued
     }
     if (!q.upgrade && compatible(owned_mode(), q.mode) &&
-        !(opts_.enable_freezing && frozen_.contains(q.mode))) {
+        !(ctx_->opts.enable_freezing && frozen_.contains(q.mode))) {
       resolve_pending_with_grant(q.mode);
       pump_backlog();
       return;
@@ -647,7 +654,7 @@ void HlsEngine::handle_request(const Message& m) {
 }
 
 void HlsEngine::handle_request_as_token(const QueuedRequest& q) {
-  if (!recovery_waiting_.empty()) {
+  if (barrier_open()) {
     // Recovery barrier: survivor state is still arriving; anything served
     // now could conflict with a hold whose attach is in flight.
     enqueue(q);
@@ -665,7 +672,8 @@ void HlsEngine::handle_request_as_token(const QueuedRequest& q) {
   }
 
   const Mode mo = owned_mode();
-  const bool frozen_blocks = opts_.enable_freezing && frozen_.contains(q.mode);
+  const bool frozen_blocks =
+      ctx_->opts.enable_freezing && frozen_.contains(q.mode);
 
   if (!frozen_blocks && tokenable(mo, q.mode)) {
     transfer_token(q);
@@ -683,15 +691,16 @@ void HlsEngine::handle_request_as_token(const QueuedRequest& q) {
 
 void HlsEngine::handle_request_as_nontoken(const QueuedRequest& q) {
   const Mode mo = owned_mode();
-  const bool frozen_blocks = opts_.enable_freezing && frozen_.contains(q.mode);
+  const bool frozen_blocks =
+      ctx_->opts.enable_freezing && frozen_.contains(q.mode);
 
-  if (opts_.allow_child_grants && !frozen_blocks &&
+  if (ctx_->opts.allow_child_grants && !frozen_blocks &&
       child_grantable(mo, q.mode)) {
     grant_copy(q);  // Rule 3.1
     return;
   }
-  if (opts_.allow_local_queues &&
-      queue_or_forward(pending_mode(), q.mode) == PendingAction::kQueue) {
+  if (ctx_->opts.allow_local_queues &&
+      queue_or_forward(pending_.mode, q.mode) == PendingAction::kQueue) {
     enqueue(q);  // Rule 4.1 / Table 2(a)
     return;
   }
@@ -711,32 +720,30 @@ bool HlsEngine::try_serve_upgrade_as_token(const QueuedRequest& q) {
 }
 
 void HlsEngine::enqueue(const QueuedRequest& q) {
-  queue_.enqueue(q, opts_.enable_priorities);
+  queue_.enqueue(q, ctx_->opts.enable_priorities);
 }
 
 void HlsEngine::grant_copy(const QueuedRequest& q) {
-  const auto it = children_.find(q.requester);
-  const Mode prior = it == children_.end() ? kNone : it->second;
-  set_child(q.requester, strongest(prior, q.mode));
-  sent_frozen_[q.requester] = frozen_;
+  ChildRecord& rec = children_[q.requester];
+  set_owned(rec, strongest(rec.owned, q.mode));
+  rec.sent_frozen = frozen_;
   Message g;
   g.kind = MsgKind::kGrant;
   g.mode = q.mode;
   g.frozen = frozen_;
-  g.grant_seq = ++grants_sent_[q.requester];
+  g.grant_seq = ++rec.grants_sent;
   send(q.requester, std::move(g));
 }
 
 void HlsEngine::transfer_token(const QueuedRequest& q) {
   erase_child(q.requester);
-  sent_frozen_.erase(q.requester);
   const Mode remaining = owned_mode();
 
   Message t;
   t.kind = MsgKind::kToken;
   t.mode = q.mode;
   t.sender_owned = remaining;
-  t.queue = transport_.acquire_queue_buffer();
+  t.queue = ctx_->transport.acquire_queue_buffer();
   queue_.ship_into(t.queue);
   // The head-bypass streak travels with the token (grant_seq is unused by
   // kToken otherwise), so the locality fairness cap binds globally across
@@ -760,14 +767,15 @@ void HlsEngine::transfer_token(const QueuedRequest& q) {
 }
 
 void HlsEngine::handle_grant(const Message& m) {
-  if (!pending_ || pending_->upgrade || pending_->mode != m.mode) {
-    HLOCK_LOG(kError, "node " << self_ << " unexpected grant of " << m.mode);
+  if (!has_pending() || pending_.upgrade || pending_.mode != m.mode) {
+    HLOCK_LOG(kError,
+              "node " << ctx_->self << " unexpected grant of " << m.mode);
     return;
   }
   detach_from_old_parent(m.from);
   parent_ = m.from;
   grants_received_[m.from] = m.grant_seq;
-  if (opts_.enable_freezing && !(frozen_ == m.frozen)) {
+  if (ctx_->opts.enable_freezing && !(frozen_ == m.frozen)) {
     frozen_ = m.frozen;
     freeze_sync_needed_ = true;
   }
@@ -778,8 +786,8 @@ void HlsEngine::handle_grant(const Message& m) {
 }
 
 void HlsEngine::handle_token(const Message& m) {
-  if (!pending_) {
-    HLOCK_LOG(kError, "node " << self_ << " unexpected token");
+  if (!has_pending()) {
+    HLOCK_LOG(kError, "node " << ctx_->self << " unexpected token");
     return;
   }
   detach_from_old_parent(m.from);
@@ -788,22 +796,22 @@ void HlsEngine::handle_token(const Message& m) {
   locality_streak_ = static_cast<std::uint32_t>(
       std::min<std::uint64_t>(m.grant_seq, 0xffffffffULL));
   if (m.sender_owned != kNone) {
-    set_child(m.from, m.sender_owned);
+    set_owned(children_[m.from], m.sender_owned);
   }
 
-  queue_.merge_shipped(m.queue, opts_.enable_priorities);
+  queue_.merge_shipped(m.queue, ctx_->opts.enable_priorities);
   // Our own in-flight request is the one the token answers; drop any echo.
-  queue_.erase_requester(self_);
+  queue_.erase_requester(ctx_->self);
 
-  if (pending_->upgrade) {
-    const Mode rest = owned_mode_excluding_hold(pending_->id);
+  if (pending_.upgrade) {
+    const Mode rest = owned_mode_excluding_hold(pending_.id);
     if (rest == kNone) {
       resolve_pending_with_grant(Mode::kW);
     } else {
       // Our subtree still has granted copies out; wait for their releases
       // with the original stamp so we stay at the head of the FIFO.
-      enqueue(QueuedRequest{self_, Mode::kW, pending_->stamp, true,
-                            pending_->priority});
+      enqueue(QueuedRequest{ctx_->self, Mode::kW, pending_.stamp, true,
+                            pending_.priority});
     }
   } else {
     resolve_pending_with_grant(m.mode);
@@ -818,33 +826,29 @@ void HlsEngine::handle_token(const Message& m) {
 }
 
 void HlsEngine::handle_release(const Message& m) {
-  {
-    const auto it = grants_sent_.find(m.from);
-    const std::uint64_t sent = it == grants_sent_.end() ? 0 : it->second;
-    if (m.grant_seq < sent) {
-      // Stale: this release was issued before the child saw our latest
-      // grant; applying it would erase the newer registration. The child
-      // re-reports when its post-grant owned mode weakens.
-      HLOCK_LOG(kDebug, "node " << self_ << " drops stale release from "
-                                << m.from);
-      return;
-    }
+  const auto it = children_.find(m.from);
+  if (it != children_.end() && m.grant_seq < it->second.grants_sent) {
+    // Stale: this release was issued before the child saw our latest
+    // grant; applying it would erase the newer registration. The child
+    // re-reports when its post-grant owned mode weakens.
+    HLOCK_LOG(kDebug, "node " << ctx_->self << " drops stale release from "
+                              << m.from);
+    return;
   }
   const Mode owned_before = owned_mode();
   if (m.mode == kNone) {
     erase_child(m.from);
-    sent_frozen_.erase(m.from);
   } else {
     // A weakening report may only *update* a live registration. If the
     // child is not registered any more, we already handed it the token
     // (transfer erased it) while this release was in flight; re-creating
     // the entry would forge a phantom ownership edge back to the new root.
-    if (children_.find(m.from) == children_.end()) {
-      HLOCK_LOG(kDebug, "node " << self_ << " ignores release from "
+    if (it == children_.end() || it->second.owned == kNone) {
+      HLOCK_LOG(kDebug, "node " << ctx_->self << " ignores release from "
                                 << m.from << ": not a child");
       return;
     }
-    set_child(m.from, m.mode);
+    set_owned(it->second, m.mode);
   }
 
   if (has_token_) {
@@ -861,7 +865,7 @@ void HlsEngine::handle_release(const Message& m) {
 }
 
 void HlsEngine::handle_freeze(const Message& m) {
-  if (!opts_.enable_freezing) return;
+  if (!ctx_->opts.enable_freezing) return;
   if (has_token_) return;  // stale: we became root since it was sent
   if (owned_mode() == kNone) {
     // We already left the sender's copyset (our release crossed this
@@ -894,30 +898,30 @@ void HlsEngine::check_queue() {
 bool HlsEngine::token_can_serve_now(const QueuedRequest& q) const {
   if (q.upgrade) return false;  // Rule 7 entries are served head-first only
   const Mode mo = owned_mode();
-  if (q.requester == self_) {
+  if (q.requester == ctx_->self) {
     // Mirrors the head self-entry branch: a live non-upgrade pending,
     // admissible under Rule 3.2.
-    return pending_ && !pending_->upgrade && compatible(mo, q.mode);
+    return has_pending() && !pending_.upgrade && compatible(mo, q.mode);
   }
   return tokenable(mo, q.mode) || token_copy_grantable(mo, q.mode);
 }
 
 std::size_t HlsEngine::pick_queue_index() const {
-  if (!opts_.locality_bias || clusters_ == nullptr) return 0;
-  if (locality_streak_ >= opts_.locality_fairness_cap) return 0;
+  if (!ctx_->opts.locality_bias || ctx_->clusters == nullptr) return 0;
+  if (locality_streak_ >= ctx_->opts.locality_fairness_cap) return 0;
   // Upgrades cluster at the queue front and are never reordered across;
   // past a non-upgrade head the queue holds no upgrade entries.
   if (queue_.front().upgrade) return 0;
   for (std::size_t i = 0; i < queue_.size(); ++i) {
     const QueuedRequest& q = queue_[i];
-    if (!clusters_->same_cluster(q.requester, self_)) continue;
+    if (!ctx_->clusters->same_cluster(q.requester, ctx_->self)) continue;
     if (token_can_serve_now(q)) return i;
   }
   return 0;
 }
 
 void HlsEngine::check_queue_token() {
-  if (!recovery_waiting_.empty()) return;  // recovery barrier open
+  if (barrier_open()) return;
   // Figure 4 "Check requests on queue": serve strictly head-first and stop
   // at the first request that cannot be served. Frozen modes are NOT
   // considered here — freezing protects queued requests from *newer*
@@ -936,7 +940,7 @@ void HlsEngine::check_queue_token() {
     if (pick != 0) {
       const QueuedRequest q = queue_.take(pick);
       ++locality_streak_;
-      if (q.requester == self_) {
+      if (q.requester == ctx_->self) {
         resolve_pending_with_grant(q.mode);
         continue;
       }
@@ -951,19 +955,19 @@ void HlsEngine::check_queue_token() {
     const QueuedRequest q = queue_.front();
     const Mode mo = owned_mode();
 
-    if (q.requester == self_) {
+    if (q.requester == ctx_->self) {
       if (q.upgrade) {
-        if (!pending_ || !upgrading_hold_) {
+        if (!has_pending() || !upgrading_hold_.valid()) {
           queue_.pop_front();  // stale entry
           continue;
         }
-        if (owned_mode_excluding_hold(pending_->id) != kNone) break;
+        if (owned_mode_excluding_hold(pending_.id) != kNone) break;
         queue_.pop_front();
         locality_streak_ = 0;
         resolve_pending_with_grant(Mode::kW);
         continue;
       }
-      if (!pending_) {
+      if (!has_pending()) {
         queue_.pop_front();  // stale entry
         continue;
       }
@@ -1006,14 +1010,14 @@ void HlsEngine::check_queue_nontoken() {
   queue_.retain_if([this](const QueuedRequest& q) {
     const Mode mo = owned_mode();
     const bool frozen_blocks =
-        opts_.enable_freezing && frozen_.contains(q.mode);
-    if (opts_.allow_child_grants && !frozen_blocks && !q.upgrade &&
+        ctx_->opts.enable_freezing && frozen_.contains(q.mode);
+    if (ctx_->opts.allow_child_grants && !frozen_blocks && !q.upgrade &&
         child_grantable(mo, q.mode)) {
       grant_copy(q);
       return false;
     }
-    if (opts_.allow_local_queues && !q.upgrade &&
-        queue_or_forward(pending_mode(), q.mode) == PendingAction::kQueue) {
+    if (ctx_->opts.allow_local_queues && !q.upgrade &&
+        queue_or_forward(pending_.mode, q.mode) == PendingAction::kQueue) {
       return true;
     }
     Message fwd;
@@ -1048,7 +1052,7 @@ void HlsEngine::propagate_release_if_needed(Mode owned_before) {
   if (has_token_) return;
   const Mode now = owned_mode();
   const bool weakened = strength(now) < strength(owned_before);
-  if (!weakened && opts_.lazy_release) return;  // Rule 5.2
+  if (!weakened && ctx_->opts.lazy_release) return;  // Rule 5.2
   Message r;
   r.kind = MsgKind::kRelease;
   r.mode = now;
@@ -1056,8 +1060,8 @@ void HlsEngine::propagate_release_if_needed(Mode owned_before) {
   send(parent_, std::move(r));
   if (now == kNone) {
     // We left the copyset entirely; frozen-set upkeep no longer reaches us.
+    // Owning nothing, we have no copyset members either.
     frozen_.clear();
-    sent_frozen_.clear();
     freeze_sync_needed_ = true;
   }
 }
@@ -1067,7 +1071,7 @@ void HlsEngine::propagate_release_if_needed(Mode owned_before) {
 // ---------------------------------------------------------------------------
 
 void HlsEngine::recompute_frozen_token() {
-  if (!opts_.enable_freezing) return;
+  if (!ctx_->opts.enable_freezing) return;
   if (!has_token_) return;
   // Table 2(b) is a union over the queued requests' modes, so the
   // queue's per-mode counts give it without walking the queue.
@@ -1096,19 +1100,21 @@ bool HlsEngine::is_potential_granter(Mode child_owned, ModeSet modes) const {
 }
 
 void HlsEngine::push_freeze_updates() {
-  if (!opts_.enable_freezing) return;
-  // The last push left every child's sent set equal to its target, and the
-  // inputs (children_, frozen_, sent_frozen_) are unchanged since — the
-  // scan below would send nothing.
+  if (!ctx_->opts.enable_freezing) return;
+  // The last push left every member's sent set equal to its target, and
+  // the inputs (member modes, frozen_, the sent sets) are unchanged since —
+  // the scan below would send nothing.
   if (!freeze_sync_needed_) return;
   freeze_sync_needed_ = false;
-  for (const auto& [child, mode] : children_) {
+  // Records of departed children stay for their grant counts; with no
+  // member left there is nothing to push, so skip walking them.
+  if (copyset_size() == 0) return;
+  for (auto& [child, rec] : children_) {
+    if (rec.owned == kNone) continue;  // not in the copyset
     ModeSet target;
-    if (is_potential_granter(mode, frozen_)) target = frozen_;
-    auto it = sent_frozen_.find(child);
-    const ModeSet last = it == sent_frozen_.end() ? ModeSet{} : it->second;
-    if (last == target) continue;
-    sent_frozen_[child] = target;
+    if (is_potential_granter(rec.owned, frozen_)) target = frozen_;
+    if (rec.sent_frozen == target) continue;
+    rec.sent_frozen = target;
     Message f;
     f.kind = MsgKind::kFreeze;
     f.frozen = target;

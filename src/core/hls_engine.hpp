@@ -7,7 +7,7 @@
 // A node *holds* a mode while inside a critical section (Def. 2) and *owns*
 // the strongest mode held or owned anywhere in its subtree (Def. 3).
 // Children that were granted copies form the node's copyset (Def. 4),
-// recorded here as `children()` with each child's last reported owned mode.
+// listed by `for_each_child()` with each child's last reported owned mode.
 //
 // Message flows (all five Figure 7 categories):
 //   REQUEST  — guided along parent links toward a granter or the root
@@ -20,6 +20,10 @@
 //   FREEZE   — root -> potential granters: replacement frozen-mode set
 //              (Rule 6 / Table 2(b)) preserving FIFO fairness
 //
+// What every engine of one node shares (identity, transport, options,
+// topology, callbacks) lives in one EngineContext per node, which HlsNode
+// owns; an engine keeps only a pointer to it.
+//
 // Threading contract: an engine is single-threaded. Callbacks
 // (on_acquired / on_upgraded) may fire synchronously from inside an API
 // call or handle(); they MUST NOT re-enter the engine — schedule follow-up
@@ -30,6 +34,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <set>
 #include <span>
@@ -71,7 +76,7 @@ struct EngineOptions {
   /// MCS locks): the token node may serve queued same-cluster requests
   /// ahead of an older cross-cluster head, batching token hand-offs and
   /// copy grants inside a cluster before the token crosses the expensive
-  /// boundary. Inert without a ClusterMap (set_cluster_map) — flat
+  /// boundary. Inert without a ClusterMap (EngineContext::clusters) — flat
   /// topologies behave exactly like the paper's protocol. Upgrades keep
   /// strict Rule 7 precedence; safety rules are unchanged (only the order
   /// among servable queued requests moves).
@@ -84,12 +89,23 @@ struct EngineOptions {
   std::uint8_t locality_fairness_cap = 4;
 };
 
-/// Application-facing notifications.
-struct EngineCallbacks {
+/// Per-node state shared by every engine of that node. HlsNode owns one;
+/// each engine keeps a pointer to it, which must outlive the engine.
+struct EngineContext {
+  EngineContext(NodeId self_id, Transport& out, EngineOptions options = {})
+      : self(self_id), transport(out), opts(options) {}
+
+  NodeId self;
+  Transport& transport;
+  EngineOptions opts;
+  /// Topology for EngineOptions::locality_bias (borrowed; must outlive the
+  /// engines and be identical on every node); null = flat, bias inert.
+  /// Install before any traffic flows.
+  const ClusterMap* clusters{nullptr};
   /// A request issued via request_lock() has been granted in `mode`.
-  std::function<void(RequestId, Mode)> on_acquired;
+  std::function<void(LockId, RequestId, Mode)> on_acquired;
   /// An upgrade issued via upgrade() completed; the hold is now W.
-  std::function<void(RequestId)> on_upgraded;
+  std::function<void(LockId, RequestId)> on_upgraded;
 };
 
 class HlsEngine {
@@ -98,9 +114,8 @@ class HlsEngine {
   /// non-root node's parent pointer starts at `initial_parent` when given
   /// (the chain must lead to the root — the paper's Figure 1 topologies),
   /// else directly at the root (star, as after full path compression).
-  HlsEngine(LockId lock, NodeId self, NodeId initial_token_holder,
-            Transport& transport, EngineOptions opts = {},
-            EngineCallbacks callbacks = {},
+  HlsEngine(const EngineContext& ctx, LockId lock,
+            NodeId initial_token_holder,
             NodeId initial_parent = NodeId::invalid());
 
   HlsEngine(const HlsEngine&) = delete;
@@ -179,10 +194,6 @@ class HlsEngine {
 
   [[nodiscard]] std::uint32_t view() const { return view_; }
 
-  /// Topology for EngineOptions::locality_bias (borrowed; must outlive the
-  /// engine and be identical on every node). Without one the bias is
-  /// inert. Install before any traffic flows.
-  void set_cluster_map(const ClusterMap* map) { clusters_ = map; }
   /// Current head-bypass streak (tests): services performed past an older
   /// queued request since the last strict-FIFO head service.
   [[nodiscard]] std::uint32_t locality_streak() const {
@@ -197,18 +208,24 @@ class HlsEngine {
   // ---- introspection (tests, invariant probes, metrics) -----------------
 
   [[nodiscard]] LockId lock() const { return lock_; }
-  [[nodiscard]] NodeId self() const { return self_; }
+  [[nodiscard]] NodeId self() const { return ctx_->self; }
   [[nodiscard]] bool is_token_node() const { return has_token_; }
   [[nodiscard]] NodeId parent() const { return parent_; }
   /// Strongest mode this node itself currently holds (Def. 2).
   [[nodiscard]] Mode held_mode() const;
   /// Strongest mode held/owned in the subtree rooted here (Def. 3).
   [[nodiscard]] Mode owned_mode() const;
-  /// Copyset view (child -> last reported owned mode), sorted by node id.
-  /// Backed by a flat sorted vector; same iteration order and lookup
-  /// interface as the std::map it replaced.
-  [[nodiscard]] const FlatMap<NodeId, Mode>& children() const {
-    return children_;
+  /// Owned mode `child` last reported (Def. 4); kNone when it is not in
+  /// the copyset.
+  [[nodiscard]] Mode child_mode(NodeId child) const;
+  /// Number of copyset members.
+  [[nodiscard]] std::size_t copyset_size() const;
+  /// Visit the copyset members as (child, last reported owned mode), in
+  /// ascending node-id order.
+  template <typename Fn>
+  void for_each_child(Fn&& fn) const {
+    for (const auto& [child, rec] : children_)
+      if (rec.owned != Mode::kNone) fn(child, rec.owned);
   }
   [[nodiscard]] ModeSet frozen() const { return frozen_; }
   /// The local queue, head first.
@@ -221,24 +238,50 @@ class HlsEngine {
   }
   /// True if a local request is pending in the protocol (sent upward or
   /// queued somewhere).
-  [[nodiscard]] bool has_pending() const { return pending_.has_value(); }
+  [[nodiscard]] bool has_pending() const { return pending_.id.valid(); }
   /// Mode of the pending local request (kNone when none) — diagnostic
   /// input to the wait-for-graph deadlock detector.
-  [[nodiscard]] Mode pending_request_mode() const {
-    return pending_ ? pending_->mode : Mode::kNone;
-  }
+  [[nodiscard]] Mode pending_request_mode() const { return pending_.mode; }
   [[nodiscard]] std::size_t backlog_size() const { return backlog_.size(); }
+  /// True once a cancel or a recovery needed the rarely used side record.
+  [[nodiscard]] bool has_side_record() const { return side_ != nullptr; }
 
  private:
   /// A local request that is "in the protocol": sent to the parent or
   /// sitting in a queue (ours while we are root, or shipped with the
-  /// token). At most one exists; later local requests wait in backlog_.
+  /// token). At most one exists (pending_; an invalid id means none);
+  /// later local requests wait in backlog_.
   struct PendingLocal {
     RequestId id{};
-    Mode mode{Mode::kNone};
     LamportStamp stamp{};
+    Mode mode{Mode::kNone};
     bool upgrade{false};
     std::uint8_t priority{0};
+  };
+
+  /// Everything this node knows about one child, in one record. `owned`
+  /// is the child's last reported owned mode, and kNone means the child is
+  /// not in the copyset. The record outlives membership for as long as
+  /// its grant count matters: a release echoing an older count is stale
+  /// (see handle_release), so a record that counted grants stays until
+  /// recovery or leave(), and one that never did is erased when the child
+  /// leaves the copyset.
+  struct ChildRecord {
+    /// Copy grants sent to this child (Message::grant_seq).
+    std::uint64_t grants_sent{0};
+    Mode owned{Mode::kNone};
+    /// Last frozen set pushed to this child, to send deltas only.
+    ModeSet sent_frozen;
+  };
+
+  /// State only cancels and recovery touch, allocated on first use so an
+  /// engine that never sees either pays one pointer for it.
+  struct SideRecord {
+    /// Requests cancelled while in flight: their grant is absorbed.
+    FlatSet<RequestId> cancelled;
+    /// Barrier (root only): survivors whose recovery attach is still due.
+    /// Queue service is deferred while non-empty.
+    FlatSet<NodeId> recovery_waiting;
   };
 
   // -- derived state helpers (all O(1): computed from the per-mode count
@@ -251,9 +294,10 @@ class HlsEngine {
   /// Owned mode with one local hold removed (token-side upgrade check).
   [[nodiscard]] Mode owned_mode_excluding_hold(RequestId id) const;
 
-  // -- aggregate-maintaining mutators (the ONLY places children_ / holds_
-  // may be modified, so the count arrays never drift) --
-  void set_child(NodeId child, Mode mode);
+  // -- aggregate-maintaining mutators (the ONLY places a child's owned mode
+  // or holds_ may be modified, so the count arrays never drift) --
+  void set_owned(ChildRecord& rec, Mode mode);
+  /// The child left the copyset: its record keeps only its grant count.
   void erase_child(NodeId child);
   void clear_children();
   void set_hold(RequestId id, Mode mode);
@@ -262,8 +306,14 @@ class HlsEngine {
   [[nodiscard]] static Mode strongest_counted(
       const std::array<std::uint32_t, kModeCount>& counts, Mode base,
       Mode exclude_one = Mode::kNone);
-  [[nodiscard]] Mode pending_mode() const {
-    return pending_ ? pending_->mode : Mode::kNone;
+  /// True while hold `id` has an upgrade in flight.
+  [[nodiscard]] bool upgrading(RequestId id) const {
+    return upgrading_hold_.valid() && upgrading_hold_ == id;
+  }
+  [[nodiscard]] SideRecord& side();
+  /// True while a recovery barrier defers queue service.
+  [[nodiscard]] bool barrier_open() const {
+    return side_ && !side_->recovery_waiting.empty();
   }
 
   // -- local request plumbing --
@@ -325,72 +375,59 @@ class HlsEngine {
 
   // Members are ordered so the small fields fill what would otherwise be
   // alignment padding: forests materialize 10^5+ engines, and each one is
-  // a single allocation of sizeof(HlsEngine).
+  // a single allocation of sizeof(HlsEngine). Per-node state lives in the
+  // context, per-child state in one record per child, and state only
+  // cancels and recovery need in the lazily allocated side record.
 
-  // -- immutable identity --
+  const EngineContext* ctx_;
   const LockId lock_;
-  const NodeId self_;
-  Transport& transport_;
-  const EngineOptions opts_;
-  bool has_token_;  ///< tree state, kept in the byte after opts_
-  EngineCallbacks callbacks_;
-
-  // -- tree / token state --
-  // All per-peer tables below are flat sorted vectors (common/flat_map.hpp)
-  // rather than rb-trees: copysets are small, every handle() touches
-  // several of them, and the flat layout keeps lookups contiguous. Every
-  // container here starts empty without allocating (an idle engine costs
-  // one allocation, its own object) and allocates again only to grow past
-  // its previous high-water mark.
   NodeId parent_;  ///< invalid while root
   /// Recovery view; messages from other views are dropped.
   std::uint32_t view_{0};
-  FlatMap<NodeId, Mode> children_;
-  /// How many children currently own each mode (incremental aggregate
-  /// behind the O(1) children_mode() / owned_mode_excluding_child()).
+  /// Consecutive out-of-FIFO-order services since the queue head was last
+  /// served (ships with the token so the fairness cap binds globally).
+  /// Always 0 while the bias is off — nothing changes on the wire.
+  std::uint32_t locality_streak_{0};
+  /// Low half of the next request id (the high half is self).
+  std::uint32_t next_request_{1};
+  bool has_token_;
+  ModeSet frozen_;
+  /// Set whenever a member's mode / frozen_ / a sent frozen set changes;
+  /// lets push_freeze_updates() skip its full-children scan on the
+  /// (common) calls where nothing it depends on moved since the last push.
+  bool freeze_sync_needed_{true};
+  /// Tombstone state after leave(): parent_ holds the forwarding target.
+  bool departed_{false};
+
+  // All per-peer tables below are flat sorted vectors (common/flat_map.hpp)
+  // rather than rb-trees: copysets are small, every handle() touches
+  // them, and the flat layout keeps lookups contiguous. Every container
+  // here starts empty without allocating (an idle engine costs one
+  // allocation, its own object) and allocates again only to grow past its
+  // previous high-water mark.
+  FlatMap<NodeId, ChildRecord> children_;
+  /// How many copyset members own each mode (incremental aggregate behind
+  /// the O(1) children_mode() / owned_mode_excluding_child()).
   std::array<std::uint32_t, kModeCount> child_mode_count_{};
 
   // -- lock state --
   FlatMap<RequestId, Mode> holds_;
   /// How many local holds are in each mode (same idea as above).
   std::array<std::uint32_t, kModeCount> hold_mode_count_{};
-  std::optional<PendingLocal> pending_;
+  PendingLocal pending_;
   /// Local requests waiting behind pending_, oldest first. Vectors, not
   /// deques: both are short, and an empty std::deque allocates ~576 B.
   std::vector<PendingLocal> backlog_;
   /// Requests waiting here; its per-mode counts make Rule 6 O(1).
   RequestQueue queue_;
-  /// Last frozen set pushed to each child, to send deltas only.
-  FlatMap<NodeId, ModeSet> sent_frozen_;
-  /// Grants sent per child / received per parent — releases echo the
-  /// received count so a release that crossed a newer grant in flight can
-  /// be recognized as stale and dropped (see Message::grant_seq).
-  FlatMap<NodeId, std::uint64_t> grants_sent_;
+  /// Grants received per parent — releases echo the count so a release
+  /// that crossed a newer grant in flight can be recognized as stale and
+  /// dropped (see Message::grant_seq and ChildRecord::grants_sent).
   FlatMap<NodeId, std::uint64_t> grants_received_;
-  /// Pending upgrade bookkeeping: the hold being upgraded.
-  std::optional<RequestId> upgrading_hold_;
-  /// Requests cancelled while in flight: their grant is absorbed.
-  FlatSet<RequestId> cancelled_;
-  /// Barrier (root only): survivors whose recovery attach is still due.
-  /// Queue service is deferred while non-empty.
-  FlatSet<NodeId> recovery_waiting_;
-
-  /// Topology for locality_bias; null = flat (bias inert).
-  const ClusterMap* clusters_{nullptr};
-  /// Consecutive out-of-FIFO-order services since the queue head was last
-  /// served (ships with the token so the fairness cap binds globally).
-  /// Always 0 while the bias is off — nothing changes on the wire.
-  std::uint32_t locality_streak_{0};
-  ModeSet frozen_;
-  /// Set whenever children_ / frozen_ / sent_frozen_ change; lets
-  /// push_freeze_updates() skip its full-children scan on the (common)
-  /// calls where nothing it depends on moved since the last push.
-  bool freeze_sync_needed_{true};
-  /// Tombstone state after leave(): parent_ holds the forwarding target.
-  bool departed_{false};
-
+  /// The hold being upgraded; invalid while no upgrade is in flight.
+  RequestId upgrading_hold_;
+  std::unique_ptr<SideRecord> side_;
   LamportClock lamport_;
-  std::uint64_t next_request_{1};
 };
 
 }  // namespace hlock::core

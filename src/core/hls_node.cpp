@@ -5,28 +5,19 @@
 namespace hlock::core {
 
 HlsNode::HlsNode(NodeId self, Transport& transport, EngineOptions opts)
-    : self_(self), transport_(transport), opts_(opts) {}
+    : ctx_{self, transport, opts} {}
 
 HlsEngine& HlsNode::add_lock(LockId lock, NodeId initial_holder,
                              NodeId initial_parent) {
-  EngineCallbacks cbs;
-  cbs.on_acquired = [this, lock](RequestId id, Mode mode) {
-    if (on_acquired_) on_acquired_(lock, id, mode);
-  };
-  cbs.on_upgraded = [this, lock](RequestId id) {
-    if (on_upgraded_) on_upgraded_(lock, id);
-  };
   auto engine =
-      std::make_unique<HlsEngine>(lock, self_, initial_holder, transport_,
-                                  opts_, std::move(cbs), initial_parent);
-  engine->set_cluster_map(cluster_map_);
+      std::make_unique<HlsEngine>(ctx_, lock, initial_holder, initial_parent);
   if (recovery_view_ != 0) {
     // Materialized after a recovery: adopt the committed view or every
     // live message (stamped with it) would be fenced off. The root joins
     // with an empty barrier — survivors with pre-crash state for this
     // lock would have materialized it already (see begin_recovery).
-    const std::set<NodeId> scope = self_ == recovery_root_
-                                       ? std::set<NodeId>{self_}
+    const std::set<NodeId> scope = ctx_.self == recovery_root_
+                                       ? std::set<NodeId>{ctx_.self}
                                        : recovery_survivors_;
     engine->begin_recovery(recovery_view_, recovery_root_, scope);
   }
@@ -61,13 +52,6 @@ const HlsEngine* HlsNode::find(LockId lock) const {
     return lock.value < dense_.size() ? dense_[lock.value].get() : nullptr;
   const auto it = sparse_.find(lock);
   return it == sparse_.end() ? nullptr : it->second.get();
-}
-
-void HlsNode::set_cluster_map(const ClusterMap* map) {
-  cluster_map_ = map;
-  for (auto& eng : dense_)
-    if (eng) eng->set_cluster_map(map);
-  for (auto& [lock, eng] : sparse_) eng->set_cluster_map(map);
 }
 
 void HlsNode::begin_recovery(std::uint32_t view, NodeId new_root,

@@ -1,6 +1,8 @@
 // HlsNode — one per participant: owns an HlsEngine per lock object and
 // demultiplexes incoming messages by lock id. The application sees a
-// single pair of callbacks tagged with the lock.
+// single pair of callbacks tagged with the lock. The node also owns the
+// EngineContext its engines share (identity, transport, options,
+// topology, callbacks), so an engine stores per-lock state only.
 #pragma once
 
 #include <functional>
@@ -21,6 +23,9 @@ class HlsNode {
   using UpgradedFn = std::function<void(LockId, RequestId)>;
 
   HlsNode(NodeId self, Transport& transport, EngineOptions opts = {});
+  // Engines point at ctx_, so the node stays where it was built.
+  HlsNode(const HlsNode&) = delete;
+  HlsNode& operator=(const HlsNode&) = delete;
 
   /// Instantiate the engine for `lock`; `initial_holder` seeds the token
   /// tree and must be identical on every node. `initial_parent` optionally
@@ -52,10 +57,11 @@ class HlsNode {
   }
 
   /// Install the cluster topology for locality-biased token service
-  /// (borrowed; must outlive the node). Applies to every existing engine
-  /// and to engines added or lazily materialized later. Without a map the
-  /// locality_bias option is inert.
-  void set_cluster_map(const ClusterMap* map);
+  /// (borrowed; must outlive the node). It lives in the context every
+  /// engine of this node reads, so it applies at once to existing engines
+  /// and to engines added or lazily materialized later; install it before
+  /// any traffic flows. Without a map the locality_bias option is inert.
+  void set_cluster_map(const ClusterMap* map) { ctx_.clusters = map; }
 
   /// Crash recovery: apply the membership service's decision to every
   /// materialized engine (departed tombstones are skipped — they have no
@@ -71,10 +77,10 @@ class HlsNode {
   /// Route one incoming message to its lock's engine.
   void handle(const Message& m);
 
-  void set_on_acquired(AcquiredFn fn) { on_acquired_ = std::move(fn); }
-  void set_on_upgraded(UpgradedFn fn) { on_upgraded_ = std::move(fn); }
+  void set_on_acquired(AcquiredFn fn) { ctx_.on_acquired = std::move(fn); }
+  void set_on_upgraded(UpgradedFn fn) { ctx_.on_upgraded = std::move(fn); }
 
-  [[nodiscard]] NodeId self() const { return self_; }
+  [[nodiscard]] NodeId self() const { return ctx_.self; }
   /// Materialized engines, dense and sparse ids alike.
   [[nodiscard]] std::size_t lock_count() const { return lock_count_; }
 
@@ -91,13 +97,8 @@ class HlsNode {
   }
 
  private:
-  NodeId self_;
-  Transport& transport_;
-  EngineOptions opts_;
-  AcquiredFn on_acquired_;
-  UpgradedFn on_upgraded_;
+  EngineContext ctx_;
   std::function<NodeId(LockId)> lazy_holder_;
-  const ClusterMap* cluster_map_{nullptr};
   /// Last committed recovery view (0 = none); adopted by engines that
   /// materialize after the recovery ran.
   std::uint32_t recovery_view_{0};

@@ -64,17 +64,17 @@ std::string check_lock(HlsCluster& cluster, LockId lock) {
     }
     const auto& pengine = cluster.node(parent.value).engine(lock);
     if (pengine.has_pending()) continue;
-    const auto it = pengine.children().find(engine.self());
-    if (it == pengine.children().end()) {
+    const Mode recorded = pengine.child_mode(engine.self());
+    if (recorded == Mode::kNone) {
       std::ostringstream os;
       os << "lock " << lock << ": owner " << engine.self() << " (owned "
          << owned << ") missing from parent " << parent << " copyset";
       return os.str();
     }
-    if (strength(it->second) < strength(owned)) {
+    if (strength(recorded) < strength(owned)) {
       std::ostringstream os;
       os << "lock " << lock << ": parent " << parent << " records child "
-         << engine.self() << " as " << it->second
+         << engine.self() << " as " << recorded
          << " weaker than actual owned " << owned;
       return os.str();
     }
@@ -112,7 +112,7 @@ std::string check_quiescent(HlsCluster& cluster) {
         os << "lock " << lock << ": node " << i << " still pending";
       } else if (!engine.queue().empty()) {
         os << "lock " << lock << ": node " << i << " queue not empty";
-      } else if (!engine.children().empty()) {
+      } else if (engine.copyset_size() != 0) {
         os << "lock " << lock << ": node " << i << " copyset not empty";
       } else if (!engine.frozen().empty()) {
         os << "lock " << lock << ": node " << i << " still frozen "

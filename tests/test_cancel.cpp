@@ -16,14 +16,11 @@ NodeId id_of(char c) { return NodeId{static_cast<std::uint32_t>(c - 'A')}; }
 
 struct Net {
   HlsEngine& add(char name, char root) {
-    EngineCallbacks cbs;
-    cbs.on_acquired = [this, name](RequestId id, Mode mode) {
-      acquired[name].emplace_back(id, mode);
-    };
-    auto engine = std::make_unique<HlsEngine>(LockId{0}, id_of(name),
-                                              id_of(root),
-                                              bus.port(id_of(name)),
-                                              EngineOptions{}, std::move(cbs));
+    auto engine = factory.make(id_of(name), id_of(root),
+                               bus.port(id_of(name)), EngineOptions{},
+                               [this, name](RequestId id, Mode mode) {
+                                 acquired[name].emplace_back(id, mode);
+                               });
     HlsEngine* raw = engine.get();
     bus.register_handler(id_of(name),
                          [raw](const Message& m) { raw->handle(m); });
@@ -34,6 +31,7 @@ struct Net {
   void pump() { bus.deliver_all(); }
 
   testing::TestBus bus;
+  testing::EngineFactory factory;
   std::map<char, std::unique_ptr<HlsEngine>> engines;
   std::map<char, std::vector<std::pair<RequestId, Mode>>> acquired;
 };

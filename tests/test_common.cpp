@@ -224,17 +224,17 @@ TEST(CounterMap, IncrementGetTotalMerge) {
 // -------------------------------------------------------------- lamport --
 
 TEST(Lamport, TickIsMonotone) {
-  LamportClock c(NodeId{1});
-  const auto s1 = c.tick();
-  const auto s2 = c.tick();
+  LamportClock c;
+  const auto s1 = c.tick(NodeId{1});
+  const auto s2 = c.tick(NodeId{1});
   EXPECT_LT(s1, s2);
 }
 
 TEST(Lamport, ObserveAdvancesPastRemote) {
-  LamportClock c(NodeId{1});
-  (void)c.tick();
+  LamportClock c;
+  (void)c.tick(NodeId{1});
   c.observe(LamportStamp{100, NodeId{2}});
-  EXPECT_GT(c.tick(), (LamportStamp{100, NodeId{2}}));
+  EXPECT_GT(c.tick(NodeId{1}), (LamportStamp{100, NodeId{2}}));
 }
 
 TEST(Lamport, TotalOrderBreaksTiesByNode) {

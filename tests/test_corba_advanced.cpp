@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -81,8 +82,26 @@ TEST(TryLockFor, LateGrantAfterTimeoutIsNotLeaked) {
   stop.store(true);
   holder.join();
   EXPECT_EQ(granted + timed_out, 50);
-  const LockHandle final_w = a.lock(LockMode::kWrite);
-  a.unlock(final_w);
+  // Bounded, so a leaked grant fails the test instead of hanging it.
+  const auto final_w = a.try_lock_for(LockMode::kWrite, msec(2000));
+  ASSERT_TRUE(final_w.has_value()) << "a timed-out request leaked its grant";
+  a.unlock(*final_w);
+}
+
+TEST(TryLockFor, DeadlineBeforeTheRequestRunsLeaksNoGrant) {
+  // The deadline expires while node 1's loop is still busy, before the
+  // request task has run; the cancel that follows must still find the
+  // request and absorb its eventual grant.
+  Fixture f(2);
+  LockSet a = f.services[0]->lock_set(kLock);
+  LockSet b = f.services[1]->lock_set(kLock);
+  f.cluster.node(1).loop().post(
+      [] { std::this_thread::sleep_for(std::chrono::milliseconds(20)); });
+  EXPECT_FALSE(b.try_lock_for(LockMode::kWrite, msec(1)).has_value());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto h = a.try_lock_for(LockMode::kWrite, msec(2000));
+  ASSERT_TRUE(h.has_value()) << "the timed-out request leaked its grant";
+  a.unlock(*h);
 }
 
 TEST(ScopedLock, ReleasesOnScopeExit) {

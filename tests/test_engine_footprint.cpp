@@ -1,7 +1,9 @@
 // Heap footprint of the per-lock engines: a materialized engine costs one
-// allocation (its own object) of at most 488 bytes, lazy materialization
-// in HlsNode fills one dense slot with that one allocation, and a token
-// arriving at a warm engine builds no temporary container. Forests hold
+// allocation (its own object) of at most 280 bytes, lazy materialization
+// in HlsNode fills one dense slot with that one allocation, a first copy
+// grant to a new child grows one table, a token arriving at a warm engine
+// builds no temporary container, and the side record for cancels and
+// recovery stays unallocated on paths that use neither. Forests hold
 // 10^5+ materialized engines, so these counts set both their memory and
 // their speed.
 //
@@ -91,25 +93,73 @@ const NodeId kB{1};
 
 TEST(EngineFootprint, IdleHlsEngineIsOneAllocation) {
   Outbox out;
+  const EngineContext ctx(kB, out);
   std::unique_ptr<HlsEngine> engine;
   EXPECT_EQ(allocations_during([&] {
-              engine = std::make_unique<HlsEngine>(LockId{0}, kB, kA, out);
+              engine = std::make_unique<HlsEngine>(ctx, LockId{0}, kA);
             }),
             1u);
   EXPECT_TRUE(engine->queue().empty());
   EXPECT_EQ(engine->backlog_size(), 0u);
 }
 
-// 488 B is the x86-64 / libstdc++ size before the local queue gained its
-// per-mode counts and head index; the members are packed so those fit in
-// former padding. A growing engine multiplies across 10^5-engine forests.
-TEST(EngineFootprint, IdleHlsEngineIsAtMost488Bytes) {
+// 280 B is the x86-64 / libstdc++ size with per-node state in the shared
+// EngineContext, one table of per-child records, and the cancel / recovery
+// sets in a side record allocated on first use. The per-lock budget is
+// 320 B; a growing engine multiplies across 10^5-engine forests.
+TEST(EngineFootprint, IdleHlsEngineIsAtMost280Bytes) {
   Outbox out;
+  const EngineContext ctx(kB, out);
   std::unique_ptr<HlsEngine> engine;
   EXPECT_LE(bytes_during([&] {
-              engine = std::make_unique<HlsEngine>(LockId{0}, kB, kA, out);
+              engine = std::make_unique<HlsEngine>(ctx, LockId{0}, kA);
             }),
-            488u);
+            280u);
+  EXPECT_LE(sizeof(HlsEngine), 320u);
+}
+
+// A copy grant records the child's mode, the frozen set sent to it and its
+// grant count in one ChildRecord, so a new child costs at most one
+// allocation (the table growing), not one per table.
+TEST(EngineFootprint, FirstCopyGrantToNewChildAllocatesAtMostOnce) {
+  Outbox out;
+  const EngineContext ctx_a(kA, out);
+  const EngineContext ctx_b(kB, out);
+  HlsEngine a(ctx_a, LockId{0}, kA);
+  HlsEngine b(ctx_b, LockId{0}, kA);
+  // The root holds R, so B's R request is answered with a copy grant.
+  (void)a.request_lock(Mode::kR);
+  (void)b.request_lock(Mode::kR);
+  const Message request = out.take();
+  ASSERT_EQ(request.kind, MsgKind::kRequest);
+  EXPECT_LE(allocations_during([&] { a.handle(request); }), 1u);
+  EXPECT_EQ(out.take().kind, MsgKind::kGrant);
+  EXPECT_EQ(a.child_mode(kB), Mode::kR);
+}
+
+TEST(EngineFootprint, TokenRoundTripNeverAllocatesTheSideRecord) {
+  Outbox out;
+  const EngineContext ctx_a(kA, out);
+  const EngineContext ctx_b(kB, out);
+  HlsEngine a(ctx_a, LockId{0}, kA);
+  HlsEngine b(ctx_b, LockId{0}, kA);
+  // B takes the token from A, then A takes it back.
+  (void)b.request_lock(Mode::kW);
+  a.handle(out.take());
+  b.handle(out.take());
+  ASSERT_TRUE(b.is_token_node());
+  b.unlock(b.holds().begin()->first);
+  (void)a.request_lock(Mode::kW);
+  b.handle(out.take());
+  a.handle(out.take());
+  ASSERT_TRUE(a.is_token_node());
+  a.unlock(a.holds().begin()->first);
+  EXPECT_FALSE(a.has_side_record());
+  EXPECT_FALSE(b.has_side_record());
+  // A cancel is what needs it.
+  const RequestId rid = b.request_lock(Mode::kW);
+  EXPECT_TRUE(b.cancel(rid));
+  EXPECT_TRUE(b.has_side_record());
 }
 
 TEST(EngineFootprint, IdleNaimiEngineIsOneAllocation) {
@@ -140,10 +190,11 @@ TEST(EngineFootprint, LazyMaterializationIsOneAllocation) {
 TEST(EngineFootprint, TokenArrivalAtWarmEngineAllocatesNothing) {
   Outbox out;
   int acquired = 0;
-  EngineCallbacks cbs;
-  cbs.on_acquired = [&acquired](RequestId, Mode) { ++acquired; };
-  HlsEngine a(LockId{0}, kA, kA, out);
-  HlsEngine b(LockId{0}, kB, kA, out, {}, std::move(cbs));
+  const EngineContext ctx_a(kA, out);
+  EngineContext ctx_b(kB, out);
+  ctx_b.on_acquired = [&acquired](LockId, RequestId, Mode) { ++acquired; };
+  HlsEngine a(ctx_a, LockId{0}, kA);
+  HlsEngine b(ctx_b, LockId{0}, kA);
 
   // B asks for W; A (idle root) answers with the token and its empty
   // queue. Returns the token message, undelivered.

@@ -11,6 +11,7 @@
 #include "core/hls_engine.hpp"
 #include "sim/simnet.hpp"
 #include "sim/simulator.hpp"
+#include "test_util.hpp"
 
 namespace hlock::core {
 namespace {
@@ -24,13 +25,10 @@ struct StarvationRig {
     for (std::size_t i = 0; i <= readers; ++i) {
       const NodeId id{static_cast<std::uint32_t>(i)};
       transports.push_back(std::make_unique<sim::SimTransport>(net, id));
-      EngineCallbacks cbs;
-      cbs.on_acquired = [this, i](RequestId rid, Mode mode) {
-        on_acquired(i, rid, mode);
-      };
-      engines.push_back(std::make_unique<HlsEngine>(
-          LockId{0}, id, NodeId{0}, *transports.back(), opts,
-          std::move(cbs)));
+      engines.push_back(factory.make(id, NodeId{0}, *transports.back(), opts,
+                                     [this, i](RequestId rid, Mode mode) {
+                                       on_acquired(i, rid, mode);
+                                     }));
       HlsEngine* raw = engines.back().get();
       net.register_node(id, [raw](const Message& m) { raw->handle(m); });
     }
@@ -71,6 +69,7 @@ struct StarvationRig {
   sim::Simulator sim;
   sim::SimNetwork net;
   std::vector<std::unique_ptr<sim::SimTransport>> transports;
+  testing::EngineFactory factory;
   std::vector<std::unique_ptr<HlsEngine>> engines;
   TimePoint stop_at = msec(3000);
   std::optional<TimePoint> writer_granted;

@@ -31,6 +31,7 @@ TEST_P(EngineFuzz, MutualExclusionUnderRandomInterleavings) {
   Rng rng(p.seed);
 
   testing::TestBus bus;
+  testing::EngineFactory factory;
   std::vector<std::unique_ptr<HlsEngine>> engines;
   // Per node: live holds and their modes (mirrors of on_acquired).
   std::vector<std::map<RequestId, Mode>> held(p.nodes);
@@ -41,18 +42,17 @@ TEST_P(EngineFuzz, MutualExclusionUnderRandomInterleavings) {
   opts.enable_priorities = p.priorities;
   for (std::size_t i = 0; i < p.nodes; ++i) {
     const NodeId id{static_cast<std::uint32_t>(i)};
-    EngineCallbacks cbs;
-    cbs.on_acquired = [&, i](RequestId rid, Mode mode) {
-      held[i][rid] = mode;
-      if (mode == Mode::kU) upgradeable[i].insert(rid);
-      ++granted;
-    };
-    cbs.on_upgraded = [&, i](RequestId rid) {
-      held[i][rid] = Mode::kW;
-      ++upgrades_done;
-    };
-    engines.push_back(std::make_unique<HlsEngine>(
-        LockId{0}, id, NodeId{0}, bus.port(id), opts, std::move(cbs)));
+    engines.push_back(factory.make(
+        id, NodeId{0}, bus.port(id), opts,
+        [&, i](RequestId rid, Mode mode) {
+          held[i][rid] = mode;
+          if (mode == Mode::kU) upgradeable[i].insert(rid);
+          ++granted;
+        },
+        [&, i](RequestId rid) {
+          held[i][rid] = Mode::kW;
+          ++upgrades_done;
+        }));
     HlsEngine* raw = engines.back().get();
     bus.register_handler(id, [raw](const Message& m) { raw->handle(m); });
   }
@@ -157,7 +157,7 @@ TEST_P(EngineFuzz, MutualExclusionUnderRandomInterleavings) {
   EXPECT_EQ(tokens, 1u);
   for (std::size_t i = 0; i < p.nodes; ++i) {
     EXPECT_TRUE(engines[i]->queue().empty()) << "node " << i;
-    EXPECT_TRUE(engines[i]->children().empty()) << "node " << i;
+    EXPECT_EQ(engines[i]->copyset_size(), 0u) << "node " << i;
   }
 }
 
@@ -173,6 +173,7 @@ TEST_P(MembershipFuzz, LeavesDuringTrafficStaySafeAndLive) {
   constexpr std::size_t kNodes = 6;
 
   testing::TestBus bus;
+  testing::EngineFactory factory;
   std::vector<std::unique_ptr<HlsEngine>> engines;
   std::vector<std::map<RequestId, Mode>> held(kNodes);
   std::vector<bool> departed(kNodes, false);
@@ -180,14 +181,12 @@ TEST_P(MembershipFuzz, LeavesDuringTrafficStaySafeAndLive) {
 
   for (std::size_t i = 0; i < kNodes; ++i) {
     const NodeId id{static_cast<std::uint32_t>(i)};
-    EngineCallbacks cbs;
-    cbs.on_acquired = [&, i](RequestId rid, Mode mode) {
-      held[i][rid] = mode;
-      ++granted;
-    };
-    engines.push_back(std::make_unique<HlsEngine>(
-        LockId{0}, id, NodeId{0}, bus.port(id), EngineOptions{},
-        std::move(cbs)));
+    engines.push_back(factory.make(id, NodeId{0}, bus.port(id),
+                                   EngineOptions{},
+                                   [&, i](RequestId rid, Mode mode) {
+                                     held[i][rid] = mode;
+                                     ++granted;
+                                   }));
     HlsEngine* raw = engines.back().get();
     bus.register_handler(id, [raw](const Message& m) { raw->handle(m); });
   }

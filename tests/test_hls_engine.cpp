@@ -26,16 +26,12 @@ NodeId id_of(char c) { return NodeId{static_cast<std::uint32_t>(c - 'A')}; }
 struct Net {
   HlsEngine& add(char name, char root, EngineOptions opts = {},
                  char parent = '\0') {
-    EngineCallbacks cbs;
-    cbs.on_acquired = [this, name](RequestId id, Mode mode) {
-      acquired[name].emplace_back(id, mode);
-    };
-    cbs.on_upgraded = [this, name](RequestId id) {
-      upgraded[name].push_back(id);
-    };
-    auto engine = std::make_unique<HlsEngine>(
-        LockId{0}, id_of(name), id_of(root), bus.port(id_of(name)), opts,
-        std::move(cbs),
+    auto engine = factory.make(
+        id_of(name), id_of(root), bus.port(id_of(name)), opts,
+        [this, name](RequestId id, Mode mode) {
+          acquired[name].emplace_back(id, mode);
+        },
+        [this, name](RequestId id) { upgraded[name].push_back(id); },
         parent == '\0' ? NodeId::invalid() : id_of(parent));
     HlsEngine* raw = engine.get();
     bus.register_handler(id_of(name),
@@ -48,6 +44,7 @@ struct Net {
   void pump() { bus.deliver_all(); }
 
   testing::TestBus bus;
+  testing::EngineFactory factory;
   std::map<char, std::unique_ptr<HlsEngine>> engines;
   std::map<char, std::vector<std::pair<RequestId, Mode>>> acquired;
   std::map<char, std::vector<RequestId>> upgraded;
@@ -91,7 +88,7 @@ TEST(HlsEngine, CopyGrantWhenRootHoldsEqualMode) {
   EXPECT_EQ(net.bus.sent(MsgKind::kGrant), 1u);
   EXPECT_EQ(net.bus.sent(MsgKind::kToken), 0u);
   EXPECT_TRUE(net['A'].is_token_node());
-  EXPECT_EQ(net['A'].children().at(id_of('B')), Mode::kR);
+  EXPECT_EQ(net['A'].child_mode(id_of('B')), Mode::kR);
   EXPECT_EQ(net['B'].parent(), id_of('A'));
   net['A'].unlock(ra);
 }
@@ -146,7 +143,7 @@ TEST(HlsEngine, ChildGrantsWeakerCompatibleRequest) {
   net.pump();
   // B granted it directly: exactly one request hop, no traffic to A.
   EXPECT_EQ(net.bus.sent(MsgKind::kRequest), requests_before + 1);
-  EXPECT_EQ(net['B'].children().at(id_of('C')), Mode::kIR);
+  EXPECT_EQ(net['B'].child_mode(id_of('C')), Mode::kIR);
   EXPECT_EQ(net['C'].parent(), id_of('B'));
   EXPECT_EQ(net.acquired['C'].size(), 1u);
   net['A'].unlock(ra);
@@ -166,8 +163,8 @@ TEST(HlsEngine, ChildGrantDisabledForwardsToRoot) {
   net.pump();
   // C's request forwarded B -> A; the grant comes from the root.
   EXPECT_EQ(net['C'].parent(), id_of('A'));
-  EXPECT_TRUE(net['A'].children().count(id_of('C')) == 1);
-  EXPECT_EQ(net['B'].children().count(id_of('C')), 0u);
+  EXPECT_NE(net['A'].child_mode(id_of('C')), Mode::kNone);
+  EXPECT_EQ(net['B'].child_mode(id_of('C')), Mode::kNone);
   net['A'].unlock(ra);
 }
 
@@ -470,7 +467,7 @@ TEST(HlsEngine, StaleReleaseCrossingGrantIsDropped) {
   const RequestId ra = net['A'].request_lock(Mode::kR);
   (void)net['B'].request_lock(Mode::kIR);
   net.pump();
-  ASSERT_EQ(net['A'].children().at(id_of('B')), Mode::kIR);
+  ASSERT_EQ(net['A'].child_mode(id_of('B')), Mode::kIR);
 
   // B releases (Release ∅ leaves, not yet delivered) and immediately
   // re-requests R; A processes the REQUEST first if we reorder — but the
@@ -483,13 +480,110 @@ TEST(HlsEngine, StaleReleaseCrossingGrantIsDropped) {
   // the grant_seq mechanism must survive (the release is stale relative
   // to the new grant A will issue).
   net.bus.deliver_at(1);                      // request R -> A grants
-  ASSERT_EQ(net['A'].children().at(id_of('B')), Mode::kR);
+  ASSERT_EQ(net['A'].child_mode(id_of('B')), Mode::kR);
   net.bus.deliver_at(0);                      // stale release arrives late
   // The stale release must NOT erase the new R registration.
-  ASSERT_EQ(net['A'].children().count(id_of('B')), 1u);
-  EXPECT_EQ(net['A'].children().at(id_of('B')), Mode::kR);
+  ASSERT_NE(net['A'].child_mode(id_of('B')), Mode::kNone);
+  EXPECT_EQ(net['A'].child_mode(id_of('B')), Mode::kR);
   net.pump();
   net['A'].unlock(ra);
+}
+
+// A parent keeps one record per child: the child's owned mode (kNone once
+// it left the copyset) and the number of grants sent to it. The count
+// outlives membership, so grant sequence numbers keep rising across leaves
+// and a release echoing an older count stays recognizably stale.
+
+/// Deliver B's request to the root A and return the grant_seq of the copy
+/// grant A sends back (left in flight).
+std::uint64_t grant_seq_for_next_request(Net& net) {
+  EXPECT_TRUE(net.bus.deliver_one());
+  const auto& in = net.bus.in_flight();
+  EXPECT_EQ(in.size(), 1u);
+  EXPECT_EQ(in.front().msg.kind, MsgKind::kGrant);
+  return in.front().msg.grant_seq;
+}
+
+TEST(HlsEngine, GrantSeqKeepsCountingAfterReleaseLeave) {
+  Net net;
+  net.add('A', 'A');
+  net.add('B', 'A');
+  const RequestId ra = net['A'].request_lock(Mode::kR);  // grants are copies
+  (void)net['B'].request_lock(Mode::kIR);
+  EXPECT_EQ(grant_seq_for_next_request(net), 1u);
+  net.pump();
+  net['B'].unlock(net.acquired['B'].back().first);  // Release(∅)
+  net.pump();
+  ASSERT_EQ(net['A'].child_mode(id_of('B')), Mode::kNone);
+  ASSERT_EQ(net['A'].copyset_size(), 0u);
+
+  (void)net['B'].request_lock(Mode::kIR);
+  EXPECT_EQ(grant_seq_for_next_request(net), 2u);
+  net.pump();
+  EXPECT_EQ(net['A'].child_mode(id_of('B')), Mode::kIR);
+  net['B'].unlock(net.acquired['B'].back().first);
+  net['A'].unlock(ra);
+  net.pump();
+}
+
+TEST(HlsEngine, GrantSeqKeepsCountingAfterTokenTransferLeave) {
+  Net net;
+  net.add('A', 'A');
+  net.add('B', 'A');
+  const RequestId ra = net['A'].request_lock(Mode::kR);
+  (void)net['B'].request_lock(Mode::kIR);
+  EXPECT_EQ(grant_seq_for_next_request(net), 1u);
+  net.pump();
+  net['A'].unlock(ra);  // A now owns IR only through B
+  // B asks for R: A owns IR < R, so the token moves to B and B leaves A's
+  // copyset.
+  (void)net['B'].request_lock(Mode::kR);
+  net.pump();
+  ASSERT_TRUE(net['B'].is_token_node());
+  ASSERT_EQ(net['A'].child_mode(id_of('B')), Mode::kNone);
+  for (const auto& [rid, mode] : net.acquired['B']) net['B'].unlock(rid);
+  net.acquired['B'].clear();
+
+  // The token returns to A, which then copy-grants to B again.
+  (void)net['A'].request_lock(Mode::kW);
+  net.pump();
+  ASSERT_TRUE(net['A'].is_token_node());
+  net['A'].unlock(net.acquired['A'].back().first);
+  const RequestId ra2 = net['A'].request_lock(Mode::kR);
+  (void)net['B'].request_lock(Mode::kIR);
+  EXPECT_EQ(grant_seq_for_next_request(net), 2u);
+  net.pump();
+  EXPECT_EQ(net['A'].child_mode(id_of('B')), Mode::kIR);
+  net['B'].unlock(net.acquired['B'].back().first);
+  net['A'].unlock(ra2);
+  net.pump();
+}
+
+TEST(HlsEngine, LateReleaseFromEarlierMembershipIsDropped) {
+  Net net;
+  net.add('A', 'A');
+  net.add('B', 'A');
+  const RequestId ra = net['A'].request_lock(Mode::kR);
+  (void)net['B'].request_lock(Mode::kIR);
+  net.pump();
+  net['B'].unlock(net.acquired['B'].back().first);
+  ASSERT_EQ(net.bus.pending(), 1u);
+  const Message old_release = net.bus.in_flight().front().msg;
+  ASSERT_EQ(old_release.kind, MsgKind::kRelease);
+  ASSERT_EQ(old_release.grant_seq, 1u);
+  net.pump();  // B leaves A's copyset
+
+  (void)net['B'].request_lock(Mode::kIR);  // re-registered by grant 2
+  net.pump();
+  ASSERT_EQ(net['A'].child_mode(id_of('B')), Mode::kIR);
+  // The release from B's first membership arrives again, late. It echoes
+  // grant 1 < 2, so it must not erase the new registration.
+  net['A'].handle(old_release);
+  EXPECT_EQ(net['A'].child_mode(id_of('B')), Mode::kIR);
+  EXPECT_EQ(net.bus.pending(), 0u);
+  net['B'].unlock(net.acquired['B'].back().first);
+  net['A'].unlock(ra);
+  net.pump();
 }
 
 TEST(HlsEngine, ReparentDetachesFromOldParent) {
@@ -502,14 +596,14 @@ TEST(HlsEngine, ReparentDetachesFromOldParent) {
   net.pump();
   (void)net['C'].request_lock(Mode::kIR);  // granted by B
   net.pump();
-  ASSERT_EQ(net['B'].children().count(id_of('C')), 1u);
+  ASSERT_NE(net['B'].child_mode(id_of('C')), Mode::kNone);
   // C asks for R: B cannot grant (owned R not > R? grantable, actually R
   // >= R and compatible — so pick U which B cannot grant).
   (void)net['C'].request_lock(Mode::kU);
   net.pump();
   // The root served C (token transfer: R < U). C must have detached from
   // B; B's copyset may no longer carry a stale C entry.
-  EXPECT_EQ(net['B'].children().count(id_of('C')), 0u);
+  EXPECT_EQ(net['B'].child_mode(id_of('C')), Mode::kNone);
   net['A'].unlock(ra);
 }
 

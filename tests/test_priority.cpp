@@ -19,14 +19,11 @@ struct Net {
   explicit Net(EngineOptions opts_in) : opts(opts_in) {}
 
   HlsEngine& add(char name, char root) {
-    EngineCallbacks cbs;
-    cbs.on_acquired = [this, name](RequestId, Mode mode) {
-      grants.emplace_back(name, mode);
-    };
-    auto engine = std::make_unique<HlsEngine>(LockId{0}, id_of(name),
-                                              id_of(root),
-                                              bus.port(id_of(name)), opts,
-                                              std::move(cbs));
+    auto engine = factory.make(id_of(name), id_of(root),
+                               bus.port(id_of(name)), opts,
+                               [this, name](RequestId, Mode mode) {
+                                 grants.emplace_back(name, mode);
+                               });
     HlsEngine* raw = engine.get();
     bus.register_handler(id_of(name),
                          [raw](const Message& m) { raw->handle(m); });
@@ -38,6 +35,7 @@ struct Net {
 
   EngineOptions opts;
   testing::TestBus bus;
+  testing::EngineFactory factory;
   std::map<char, std::unique_ptr<HlsEngine>> engines;
   std::vector<std::pair<char, Mode>> grants;
 };

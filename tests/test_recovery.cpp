@@ -23,18 +23,13 @@ struct Net {
   Net(EngineOptions o, const ClusterMap* map) : opts(o), clusters(map) {}
 
   HlsEngine& add(char name, char root) {
-    EngineCallbacks cbs;
-    cbs.on_acquired = [this, name](RequestId id, Mode mode) {
-      acquired[name].emplace_back(id, mode);
-    };
-    cbs.on_upgraded = [this, name](RequestId id) {
-      upgraded[name].push_back(id);
-    };
-    auto engine = std::make_unique<HlsEngine>(LockId{0}, id_of(name),
-                                              id_of(root),
-                                              bus.port(id_of(name)),
-                                              opts, std::move(cbs));
-    engine->set_cluster_map(clusters);
+    auto engine = factory.make(
+        id_of(name), id_of(root), bus.port(id_of(name)), opts,
+        [this, name](RequestId id, Mode mode) {
+          acquired[name].emplace_back(id, mode);
+        },
+        [this, name](RequestId id) { upgraded[name].push_back(id); },
+        NodeId::invalid(), clusters);
     HlsEngine* raw = engine.get();
     bus.register_handler(id_of(name),
                          [raw](const Message& m) { raw->handle(m); });
@@ -66,6 +61,7 @@ struct Net {
   testing::TestBus bus;
   EngineOptions opts{};
   const ClusterMap* clusters{nullptr};
+  testing::EngineFactory factory;
   std::map<char, std::unique_ptr<HlsEngine>> engines;
   std::map<char, std::vector<std::pair<RequestId, Mode>>> acquired;
   std::map<char, std::vector<RequestId>> upgraded;
@@ -149,7 +145,7 @@ TEST(Recovery, SurvivorHoldsAreReattachedAndStillBlockWriters) {
   net.crash('A');
   net.recover(1, 'B');
   ASSERT_TRUE(net['B'].is_token_node());
-  EXPECT_EQ(net['B'].children().count(id_of('C')), 1u);
+  EXPECT_NE(net['B'].child_mode(id_of('C')), Mode::kNone);
   // A writer must still wait for BOTH survivors' IR holds.
   (void)net['D'].request_lock(Mode::kW);
   net.pump();
@@ -321,7 +317,7 @@ TEST(Recovery, StaleViewRequestAndAttachAreFenced) {
   // Neither fenced message left a trace: C is not a child, and a live
   // writer is served instantly (nothing queued ahead of it, nothing
   // phantom-held against it).
-  EXPECT_EQ(net['A'].children().count(id_of('C')), 0u);
+  EXPECT_EQ(net['A'].child_mode(id_of('C')), Mode::kNone);
   (void)net['B'].request_lock(Mode::kW);
   net.pump();
   ASSERT_EQ(net.acquired['B'].size(), 1u);
@@ -358,7 +354,7 @@ TEST(Recovery, SecondRecoveryBeforeFirstBarrierCompletes) {
 
   EXPECT_TRUE(net['A'].is_token_node());
   EXPECT_FALSE(net['B'].is_token_node());
-  EXPECT_EQ(net['A'].children().count(id_of('C')), 0u);
+  EXPECT_EQ(net['A'].child_mode(id_of('C')), Mode::kNone);
   // B's R hold survived both recoveries and still blocks a writer.
   (void)net['A'].request_lock(Mode::kW);
   net.pump();

@@ -25,6 +25,7 @@ TEST_P(RecoveryFuzz, RepeatedCrashesStaySafeAndLive) {
   constexpr std::size_t kNodes = 6;
 
   testing::TestBus bus;
+  testing::EngineFactory factory;
   std::vector<std::unique_ptr<HlsEngine>> engines;
   std::vector<std::map<RequestId, Mode>> held(kNodes);
   std::vector<bool> alive(kNodes, true);
@@ -32,11 +33,9 @@ TEST_P(RecoveryFuzz, RepeatedCrashesStaySafeAndLive) {
 
   for (std::size_t i = 0; i < kNodes; ++i) {
     const NodeId id{static_cast<std::uint32_t>(i)};
-    EngineCallbacks cbs;
-    cbs.on_acquired = [&, i](RequestId rid, Mode mode) { held[i][rid] = mode; };
-    engines.push_back(std::make_unique<HlsEngine>(
-        LockId{0}, id, NodeId{0}, bus.port(id), EngineOptions{},
-        std::move(cbs)));
+    engines.push_back(factory.make(
+        id, NodeId{0}, bus.port(id), EngineOptions{},
+        [&, i](RequestId rid, Mode mode) { held[i][rid] = mode; }));
     HlsEngine* raw = engines.back().get();
     bus.register_handler(id, [&, i, raw](const Message& m) {
       if (alive[i]) raw->handle(m);
@@ -154,6 +153,7 @@ TEST_P(MixedChurnFuzz, LeavesAndCrashesTogether) {
   constexpr std::size_t kNodes = 7;
 
   testing::TestBus bus;
+  testing::EngineFactory factory;
   std::vector<std::unique_ptr<HlsEngine>> engines;
   std::vector<std::map<RequestId, Mode>> held(kNodes);
   std::vector<bool> gone(kNodes, false);  // crashed or departed
@@ -161,11 +161,9 @@ TEST_P(MixedChurnFuzz, LeavesAndCrashesTogether) {
 
   for (std::size_t i = 0; i < kNodes; ++i) {
     const NodeId id{static_cast<std::uint32_t>(i)};
-    EngineCallbacks cbs;
-    cbs.on_acquired = [&, i](RequestId rid, Mode mode) { held[i][rid] = mode; };
-    engines.push_back(std::make_unique<HlsEngine>(
-        LockId{0}, id, NodeId{0}, bus.port(id), EngineOptions{},
-        std::move(cbs)));
+    engines.push_back(factory.make(
+        id, NodeId{0}, bus.port(id), EngineOptions{},
+        [&, i](RequestId rid, Mode mode) { held[i][rid] = mode; }));
     HlsEngine* raw = engines.back().get();
     bus.register_handler(id, [&, i, raw](const Message& m) {
       if (!gone[i] || engines[i]->departed()) raw->handle(m);

@@ -30,17 +30,16 @@ TEST_P(Table2aBehavior, QueueOrForwardMatchesTheTable) {
   const Cell cell = GetParam();
 
   testing::TestBus bus;
+  testing::EngineFactory factory;
   std::map<char, std::unique_ptr<HlsEngine>> engines;
   std::map<char, std::vector<std::pair<RequestId, Mode>>> acquired;
   auto add = [&](char name, char parent) {
-    EngineCallbacks cbs;
-    cbs.on_acquired = [&acquired, name](RequestId id, Mode mode) {
-      acquired[name].emplace_back(id, mode);
-    };
-    auto engine = std::make_unique<HlsEngine>(
-        LockId{0}, id_of(name), id_of('A'), bus.port(id_of(name)),
-        EngineOptions{}, std::move(cbs),
-        parent == '\0' ? NodeId::invalid() : id_of(parent));
+    auto engine = factory.make(
+        id_of(name), id_of('A'), bus.port(id_of(name)), EngineOptions{},
+        [&acquired, name](RequestId id, Mode mode) {
+          acquired[name].emplace_back(id, mode);
+        },
+        {}, parent == '\0' ? NodeId::invalid() : id_of(parent));
     HlsEngine* raw = engine.get();
     bus.register_handler(id_of(name),
                          [raw](const Message& m) { raw->handle(m); });

@@ -34,15 +34,13 @@ struct Net {
         }
       }
       const NodeId id{i};
-      EngineCallbacks cbs;
-      cbs.on_acquired = [this, i](RequestId rid, Mode mode) {
-        acquired[i].emplace_back(rid, mode);
-        order.push_back(i);
-      };
-      engines.push_back(std::make_unique<HlsEngine>(
-          LockId{0}, id, NodeId{0}, bus.port(id), opts,
-          std::move(cbs), parent));
-      engines.back()->set_cluster_map(map);
+      engines.push_back(factory.make(
+          id, NodeId{0}, bus.port(id), opts,
+          [this, i](RequestId rid, Mode mode) {
+            acquired[i].emplace_back(rid, mode);
+            order.push_back(i);
+          },
+          {}, parent, map));
       HlsEngine* raw = engines.back().get();
       bus.register_handler(id, [raw](const Message& m) { raw->handle(m); });
     }
@@ -51,6 +49,7 @@ struct Net {
   void pump() { bus.deliver_all(); }
 
   testing::TestBus bus;
+  testing::EngineFactory factory;
   std::vector<std::unique_ptr<HlsEngine>> engines;
   std::map<std::uint32_t, std::vector<std::pair<RequestId, Mode>>> acquired;
   /// Global acquisition order (node ids, in grant order).
@@ -91,7 +90,7 @@ TEST_P(TopologyTest, ConcurrentReadersFromEveryNode) {
   for (const auto& e : net.engines) {
     tokens += e->is_token_node() ? 1 : 0;
     EXPECT_TRUE(e->holds().empty());
-    EXPECT_TRUE(e->children().empty());
+    EXPECT_EQ(e->copyset_size(), 0u);
     EXPECT_TRUE(e->queue().empty());
   }
   EXPECT_EQ(tokens, 1u);
@@ -148,8 +147,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, TopologyTest,
 
 TEST(Topology, SelfParentRejected) {
   testing::TestBus bus;
-  EXPECT_THROW(HlsEngine(LockId{0}, NodeId{1}, NodeId{0}, bus.port(NodeId{1}),
-                         EngineOptions{}, EngineCallbacks{}, NodeId{1}),
+  const EngineContext ctx(NodeId{1}, bus.port(NodeId{1}));
+  EXPECT_THROW(HlsEngine(ctx, LockId{0}, NodeId{0}, NodeId{1}),
                std::invalid_argument);
 }
 

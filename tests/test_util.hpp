@@ -1,5 +1,6 @@
 // Shared test scaffolding: an in-memory message bus with manual,
-// inspectable delivery for deterministic protocol unit tests.
+// inspectable delivery for deterministic protocol unit tests, and a
+// factory for engines driven over it without an HlsNode.
 #pragma once
 
 #include <deque>
@@ -7,9 +8,12 @@
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "common/cluster_map.hpp"
 #include "common/types.hpp"
+#include "core/hls_engine.hpp"
 #include "msg/message.hpp"
 
 namespace hlock::testing {
@@ -124,6 +128,40 @@ class TestBus {
   std::map<NodeId, std::function<void(const Message&)>> handlers_;
   std::map<MsgKind, std::uint64_t> by_kind_;
   std::uint64_t total_sent_{0};
+};
+
+/// Builds standalone HlsEngines (lock 0) for fixtures that drive single
+/// engines over a bus instead of through core::HlsNode. Each engine gets
+/// its own per-node EngineContext, kept here at a stable address: declare
+/// the factory before the engines it builds, so it outlives them.
+class EngineFactory {
+ public:
+  using AcquiredFn = std::function<void(RequestId, Mode)>;
+  using UpgradedFn = std::function<void(RequestId)>;
+
+  std::unique_ptr<core::HlsEngine> make(
+      NodeId self, NodeId root, Transport& transport,
+      core::EngineOptions opts = {}, AcquiredFn on_acquired = {},
+      UpgradedFn on_upgraded = {}, NodeId parent = NodeId::invalid(),
+      const ClusterMap* clusters = nullptr) {
+    core::EngineContext& ctx = contexts_.emplace_back(self, transport, opts);
+    ctx.clusters = clusters;
+    if (on_acquired) {
+      ctx.on_acquired = [fn = std::move(on_acquired)](
+                            LockId, RequestId id, Mode mode) {
+        fn(id, mode);
+      };
+    }
+    if (on_upgraded) {
+      ctx.on_upgraded = [fn = std::move(on_upgraded)](LockId, RequestId id) {
+        fn(id);
+      };
+    }
+    return std::make_unique<core::HlsEngine>(ctx, LockId{0}, root, parent);
+  }
+
+ private:
+  std::deque<core::EngineContext> contexts_;
 };
 
 }  // namespace hlock::testing

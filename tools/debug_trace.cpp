@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
                   << " pending=" << e.has_pending()
                   << " qlen=" << e.queue().size()
                   << " frozen=" << e.frozen().to_string() << " children={";
-        for (auto& [ch, m2] : e.children()) std::cout << ch << ":" << to_string(m2) << " ";
+        e.for_each_child([](NodeId ch, Mode m2) { std::cout << ch << ":" << to_string(m2) << " "; });
         std::cout << "}\n";
       }
       std::exit(1);
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
                 << " held=" << to_string(e.held_mode())
                 << " pending=" << e.has_pending() << " backlog=" << e.backlog_size()
                 << " frozen=" << e.frozen().to_string() << " children={";
-      for (auto& [ch, m2] : e.children()) std::cout << ch << ":" << to_string(m2) << " ";
+      e.for_each_child([](NodeId ch, Mode m2) { std::cout << ch << ":" << to_string(m2) << " "; });
       std::cout << "} queue=[";
       for (auto& q : e.queue()) std::cout << q.requester << ":" << to_string(q.mode) << (q.upgrade?"^":"") << " ";
       std::cout << "]\n";
