@@ -137,10 +137,6 @@ int main(int argc, char** argv) {
             << " wall_ms=" << best_ms << " ev/s="
             << static_cast<double>(r.events) / (best_ms / 1000.0) << "\n";
 
-  // The dense dispatch slot is all an untouched lock costs, on every node.
-  const double idle_lock_bytes =
-      static_cast<double>(cfg.nodes) * sizeof(void*);
-
   if (cli.json) {
     std::cout << "{\"nodes\":" << cfg.nodes << ",\"trees\":" << cfg.trees
               << ",\"levels\":" << cfg.levels
@@ -157,7 +153,6 @@ int main(int argc, char** argv) {
               << ",\"cross_tree_pct\":" << json_double(cfg.cross_tree_pct)
               << ",\"cross_tree_ops\":" << r.cross_tree_ops
               << ",\"deadlock_cycles\":" << r.deadlock_cycles
-              << ",\"idle_lock_bytes\":" << json_double(idle_lock_bytes)
               << ",\"msgs_per_lock_request\":"
               << json_double(r.msgs_per_lock_request())
               << ",\"latency_factor_mean\":"
@@ -191,7 +186,6 @@ int main(int argc, char** argv) {
   table.row({"virtual end", std::to_string(r.virtual_end)});
   table.row({"engines materialized", std::to_string(r.engines_materialized)});
   table.row({"locks total", std::to_string(r.locks_total)});
-  table.row({"bytes/idle lock", TablePrinter::num(idle_lock_bytes, 0)});
   table.print(std::cout);
   return 0;
 }

@@ -1,5 +1,6 @@
 #include "core/hls_node.hpp"
 
+#include <memory>
 #include <stdexcept>
 
 namespace hlock::core {
@@ -21,37 +22,17 @@ HlsEngine& HlsNode::add_lock(LockId lock, NodeId initial_holder,
                                        : recovery_survivors_;
     engine->begin_recovery(recovery_view_, recovery_root_, scope);
   }
-  std::unique_ptr<HlsEngine>* slot;
-  if (lock.value < kDenseLockLimit) {
-    if (lock.value >= dense_.size()) dense_.resize(lock.value + 1);
-    slot = &dense_[lock.value];
-    if (*slot) throw std::logic_error("lock added twice");
-  } else {
-    auto [it, inserted] = sparse_.try_emplace(lock);
-    if (!inserted) throw std::logic_error("lock added twice");
-    slot = &it->second;
-  }
-  *slot = std::move(engine);
-  ++lock_count_;
-  return **slot;
+  return engines_.add(lock, std::move(engine));
 }
 
 HlsEngine& HlsNode::engine(LockId lock) {
-  if (lock.value < dense_.size() && dense_[lock.value])
-    return *dense_[lock.value];
-  if (lock.value >= kDenseLockLimit) {
-    const auto it = sparse_.find(lock);
-    if (it != sparse_.end()) return *it->second;
-  }
+  if (HlsEngine* found = engines_.find(lock)) return *found;
   if (lazy_holder_) return add_lock(lock, lazy_holder_(lock));
   throw std::logic_error("unknown lock");
 }
 
 const HlsEngine* HlsNode::find(LockId lock) const {
-  if (lock.value < kDenseLockLimit)
-    return lock.value < dense_.size() ? dense_[lock.value].get() : nullptr;
-  const auto it = sparse_.find(lock);
-  return it == sparse_.end() ? nullptr : it->second.get();
+  return engines_.find(lock);
 }
 
 void HlsNode::begin_recovery(std::uint32_t view, NodeId new_root,
@@ -59,12 +40,10 @@ void HlsNode::begin_recovery(std::uint32_t view, NodeId new_root,
   recovery_view_ = view;
   recovery_root_ = new_root;
   recovery_survivors_ = survivors;
-  const auto recover = [&](HlsEngine& eng) {
+  // Ascending lock id: the order the attaches go out in.
+  engines_.for_each([&](LockId, HlsEngine& eng) {
     if (!eng.departed()) eng.begin_recovery(view, new_root, survivors);
-  };
-  for (auto& eng : dense_)
-    if (eng) recover(*eng);
-  for (auto& [lock, eng] : sparse_) recover(*eng);
+  });
 }
 
 void HlsNode::handle(const Message& m) { engine(m.lock).handle(m); }

@@ -6,11 +6,9 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <set>
-#include <vector>
 
-#include "common/flat_map.hpp"
+#include "common/engine_table.hpp"
 #include "common/types.hpp"
 #include "core/hls_engine.hpp"
 #include "msg/message.hpp"
@@ -42,18 +40,12 @@ class HlsNode {
   /// Many-lock mode: instead of add_lock()-ing every id up front (which
   /// costs a full engine per idle lock), install a function mapping a lock
   /// id to its initial token holder. engine() then materializes unknown
-  /// locks on demand; an untouched lock costs one dense pointer slot, and
-  /// materializing it fills that slot with one allocation (the engine).
-  /// The mapping must be identical on every node of the cluster.
+  /// locks on demand: an untouched lock costs nothing, and materializing
+  /// one costs one allocation (the engine) plus, now and then, a doubling
+  /// of the engine index (see EngineTable). The mapping must be identical
+  /// on every node of the cluster.
   void set_lazy_holder(std::function<NodeId(LockId)> holder_of) {
     lazy_holder_ = std::move(holder_of);
-  }
-
-  /// Pre-size the dense engine table (avoids growth reallocations when
-  /// the id universe is known, e.g. the forest workload's per-tree space).
-  void reserve_dense(std::uint32_t ids) {
-    if (ids > kDenseLockLimit) ids = kDenseLockLimit;
-    if (ids > dense_.size()) dense_.resize(ids);
   }
 
   /// Install the cluster topology for locality-biased token service
@@ -81,19 +73,21 @@ class HlsNode {
   void set_on_upgraded(UpgradedFn fn) { ctx_.on_upgraded = std::move(fn); }
 
   [[nodiscard]] NodeId self() const { return ctx_.self; }
-  /// Materialized engines, dense and sparse ids alike.
-  [[nodiscard]] std::size_t lock_count() const { return lock_count_; }
+  /// Materialized engines.
+  [[nodiscard]] std::size_t lock_count() const { return engines_.size(); }
+  /// Heap bytes of the engine index, engines excluded.
+  [[nodiscard]] std::size_t index_bytes() const {
+    return engines_.index_bytes();
+  }
 
   /// Visit every *materialized* engine in lock-id order (lazily-managed
   /// forests never instantiate the full id space, so observers — the
   /// deadlock monitor — must walk what exists rather than enumerate the
-  /// universe). Dense ids all precede sparse ones, so walking the dense
-  /// table and then the sparse one is ascending id order.
+  /// universe).
   template <typename Fn>
   void for_each_engine(Fn&& fn) const {
-    for (std::uint32_t id = 0; id < dense_.size(); ++id)
-      if (dense_[id]) fn(LockId{id}, *dense_[id]);
-    for (const auto& [lock, engine] : sparse_) fn(lock, *engine);
+    engines_.for_each(
+        [&fn](LockId lock, const HlsEngine& engine) { fn(lock, engine); });
   }
 
  private:
@@ -104,14 +98,8 @@ class HlsNode {
   std::uint32_t recovery_view_{0};
   NodeId recovery_root_{NodeId::invalid()};
   std::set<NodeId> recovery_survivors_;
-  /// The engines, each owned by exactly one of two tables. Small ids (the
-  /// common, dense case) index `dense_` directly: the engine() lookup is
-  /// on the per-message hot path and lazy materialization fills a slot in
-  /// O(1). Ids at or past the cap live in the sorted `sparse_` table.
-  static constexpr std::uint32_t kDenseLockLimit = 1u << 20;
-  std::vector<std::unique_ptr<HlsEngine>> dense_;
-  FlatMap<LockId, std::unique_ptr<HlsEngine>> sparse_;
-  std::size_t lock_count_{0};
+  /// The materialized engines. engine() looks up here for every message.
+  EngineTable<HlsEngine> engines_;
 };
 
 }  // namespace hlock::core

@@ -72,6 +72,13 @@ ClusterBase::ClusterBase(const ClusterConfig& config)
   remaining_.assign(config.nodes, config.spec.ops_per_node);
 }
 
+NodeId ClusterBase::home_of(LockId lock) const {
+  if (lock.value >= layout_.lock_count())
+    throw std::out_of_range("lock outside the cluster's layout");
+  if (lock == layout_.table_lock()) return NodeId{0};
+  return NodeId{(lock.value - 1) / config_.spec.entries_per_node};
+}
+
 Transport& ClusterBase::transport_for(std::size_t i) {
   if (!reliable_.empty()) return *reliable_[i];
   return *transports_[i];
@@ -164,13 +171,9 @@ HlsCluster::HlsCluster(const ClusterConfig& config)
     auto node = std::make_unique<core::HlsNode>(id, transport_for(i),
                                                 config.engine_opts);
     node->set_cluster_map(cluster_map_.get());
-    // Table lock rooted at node 0; each entry lock at its home node, the
-    // airline that owns the row.
-    node->add_lock(layout_.table_lock(), NodeId{0});
-    for (std::uint32_t e = 0; e < layout_.entry_count(); ++e) {
-      node->add_lock(layout_.entry_lock(e),
-                     NodeId{e / config.spec.entries_per_node});
-    }
+    // Engines materialize on first touch: at n = 256 most (node, entry)
+    // pairs never see a message.
+    node->set_lazy_holder([this](LockId lock) { return home_of(lock); });
     register_inbound(i,
                      [n = node.get()](const Message& m) { n->handle(m); });
     nodes_.push_back(std::move(node));
@@ -195,10 +198,8 @@ NaimiCluster::NaimiCluster(const ClusterConfig& config, bool pure)
     if (pure) {
       node->add_lock(LockId{0}, NodeId{0});
     } else {
-      for (std::uint32_t e = 0; e < layout_.entry_count(); ++e) {
-        node->add_lock(layout_.entry_lock(e),
-                       NodeId{e / config.spec.entries_per_node});
-      }
+      for (const LockId lock : layout_.entry_locks_in_order())
+        node->add_lock(lock, home_of(lock));
     }
     register_inbound(i,
                      [n = node.get()](const Message& m) { n->handle(m); });

@@ -67,6 +67,11 @@ class ClusterBase {
   [[nodiscard]] std::size_t node_count() const { return config_.nodes; }
   [[nodiscard]] const ClusterConfig& config() const { return config_; }
   [[nodiscard]] std::uint64_t completed_ops() const { return completed_; }
+  /// Initial token holder of `lock`, the same on every node: the table
+  /// lock starts at node 0, entry e at node e / entries_per_node (the
+  /// airline that owns the row). Throws std::out_of_range for an id
+  /// outside the layout.
+  [[nodiscard]] NodeId home_of(LockId lock) const;
 
   /// Observation hook called after every completed op (tests).
   std::function<void(NodeId, const lockmgr::OpStats&)> on_op_done;

@@ -8,13 +8,24 @@ namespace hlock::harness {
 
 namespace {
 
-std::string check_lock(HlsCluster& cluster, LockId lock) {
+// Engines are read through find(), so a check never materializes one. An
+// absent engine is the pristine one: it has the token iff its node is the
+// lock's initial holder, and no holds, requests, queue, children, frozen
+// set or backlog.
+
+bool has_token(const HlsCluster& cluster, std::size_t i, LockId lock) {
+  const core::HlsEngine* engine = cluster.node(i).find(lock);
+  return engine != nullptr ? engine->is_token_node()
+                           : cluster.home_of(lock).value == i;
+}
+
+std::string check_lock(const HlsCluster& cluster, LockId lock) {
   const std::size_t n = cluster.node_count();
 
   // I1: token uniqueness (0 allowed transiently: token in flight).
   std::size_t token_nodes = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (cluster.node(i).engine(lock).is_token_node()) ++token_nodes;
+    if (has_token(cluster, i, lock)) ++token_nodes;
   }
   if (token_nodes > 1) {
     std::ostringstream os;
@@ -25,9 +36,10 @@ std::string check_lock(HlsCluster& cluster, LockId lock) {
   // I2: pairwise compatibility of all holds.
   std::vector<std::pair<NodeId, Mode>> held;
   for (std::size_t i = 0; i < n; ++i) {
-    const auto& engine = cluster.node(i).engine(lock);
-    for (const auto& [id, mode] : engine.holds()) {
-      held.emplace_back(engine.self(), mode);
+    const core::HlsEngine* engine = cluster.node(i).find(lock);
+    if (engine == nullptr) continue;
+    for (const auto& [id, mode] : engine->holds()) {
+      held.emplace_back(engine->self(), mode);
     }
   }
   for (std::size_t a = 0; a < held.size(); ++a) {
@@ -50,7 +62,9 @@ std::string check_lock(HlsCluster& cluster, LockId lock) {
   //    child is the old root whose registration travels in the token's
   //    sender_owned field).
   for (std::size_t i = 0; i < n; ++i) {
-    const auto& engine = cluster.node(i).engine(lock);
+    const core::HlsEngine* found = cluster.node(i).find(lock);
+    if (found == nullptr) continue;  // pristine: owns nothing or is root
+    const core::HlsEngine& engine = *found;
     if (engine.is_token_node()) continue;
     if (engine.has_pending()) continue;
     const Mode owned = engine.owned_mode();
@@ -62,9 +76,10 @@ std::string check_lock(HlsCluster& cluster, LockId lock) {
          << " has no parent";
       return os.str();
     }
-    const auto& pengine = cluster.node(parent.value).engine(lock);
-    if (pengine.has_pending()) continue;
-    const Mode recorded = pengine.child_mode(engine.self());
+    const core::HlsEngine* pengine = cluster.node(parent.value).find(lock);
+    if (pengine != nullptr && pengine->has_pending()) continue;
+    const Mode recorded =
+        pengine != nullptr ? pengine->child_mode(engine.self()) : Mode::kNone;
     if (recorded == Mode::kNone) {
       std::ostringstream os;
       os << "lock " << lock << ": owner " << engine.self() << " (owned "
@@ -84,7 +99,7 @@ std::string check_lock(HlsCluster& cluster, LockId lock) {
 
 }  // namespace
 
-std::string check_safety(HlsCluster& cluster) {
+std::string check_safety(const HlsCluster& cluster) {
   const std::uint32_t locks = cluster.layout().lock_count();
   for (std::uint32_t l = 0; l < locks; ++l) {
     std::string err = check_lock(cluster, LockId{l});
@@ -93,7 +108,7 @@ std::string check_safety(HlsCluster& cluster) {
   return {};
 }
 
-std::string check_quiescent(HlsCluster& cluster) {
+std::string check_quiescent(const HlsCluster& cluster) {
   std::string err = check_safety(cluster);
   if (!err.empty()) return err;
 
@@ -103,8 +118,10 @@ std::string check_quiescent(HlsCluster& cluster) {
     const LockId lock{l};
     std::size_t token_nodes = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      const auto& engine = cluster.node(i).engine(lock);
-      if (engine.is_token_node()) ++token_nodes;
+      if (has_token(cluster, i, lock)) ++token_nodes;
+      const core::HlsEngine* found = cluster.node(i).find(lock);
+      if (found == nullptr) continue;  // pristine: idle by definition
+      const core::HlsEngine& engine = *found;
       std::ostringstream os;
       if (!engine.holds().empty()) {
         os << "lock " << lock << ": node " << i << " still holds";

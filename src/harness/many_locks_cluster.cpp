@@ -143,12 +143,11 @@ ManyLocksCluster::ManyLocksCluster(const ManyLocksConfig& config)
           std::make_unique<sim::SimTransport>(*tree->net, id));
       auto node = std::make_unique<core::HlsNode>(
           id, *tree->transports.back(), config.engine_opts);
-      // Engines materialize on first touch; an idle lock costs only its
-      // dense dispatch slot. The holder mapping is pure id arithmetic,
-      // identical on every node of the tree.
+      // Engines materialize on first touch; an idle lock costs nothing.
+      // The holder mapping is pure id arithmetic, identical on every node
+      // of the tree.
       node->set_lazy_holder(
           [nodes](LockId l) { return workload::ForestLayout::home_of(l, nodes); });
-      node->reserve_dense(layout_.locks_per_tree());
       tree->net->register_node(
           id, [n = node.get()](const Message& m) { n->handle(m); });
       tree->nodes.push_back(std::move(node));
@@ -173,7 +172,6 @@ ManyLocksCluster::ManyLocksCluster(const ManyLocksConfig& config)
                                                 config.engine_opts);
       gw->set_lazy_holder(
           [nodes](LockId l) { return workload::ForestLayout::home_of(l, nodes); });
-      gw->reserve_dense(layout_.locks_per_tree());
       tree->net->register_node(
           gw_id, [n = gw.get()](const Message& m) { n->handle(m); });
       tree->gw_node = std::move(gw);

@@ -22,8 +22,8 @@
 // reporting a protocol failure.
 //
 // Memory: nodes install a lazy engine factory instead of add_lock()-ing
-// the whole id space, so an idle lock costs one dense dispatch slot per
-// node (8 bytes) until first touch.
+// the whole id space, so an idle lock costs nothing until first touch;
+// each node's engine index grows with the engines it built.
 #pragma once
 
 #include <cstdint>

@@ -135,6 +135,7 @@ void BasicSessionMux<Node>::begin(std::uint32_t sid, const Op& op,
   c.started = exec_.now();
   c.acquire_latency = 0;
   c.held.clear();
+  c.engines.clear();
   ++active_;
   c.phase = Phase::kGated;
   gate_queue_.push_back(sid);
@@ -169,11 +170,13 @@ void BasicSessionMux<Node>::issue(std::uint32_t sid) {
   // slot is saved and restored around the call.
   const std::uint32_t outer = issuing_;
   issuing_ = sid;
+  Engine& engine = node_.engine(step.lock);
+  c.engines.push_back(&engine);
   RequestId rid;
   if constexpr (kHls) {
-    rid = node_.engine(step.lock).request_lock(step.mode);
+    rid = engine.request_lock(step.mode);
   } else {
-    rid = node_.engine(step.lock).request();
+    rid = engine.request();
   }
   const bool bound = issuing_ != sid;
   issuing_ = outer;
@@ -225,7 +228,7 @@ void BasicSessionMux<Node>::on_acquired(LockId lock, RequestId id) {
       return;
     }
     d.phase = Phase::kUpgrading;
-    if constexpr (kHls) node_.engine(d.plan.steps[0].lock).upgrade(d.held[0]);
+    if constexpr (kHls) d.engines[0]->upgrade(d.held[0]);
   });
 }
 
@@ -265,9 +268,9 @@ void BasicSessionMux<Node>::unlock_all(std::uint32_t sid) {
   const Client& c = clients_[sid];
   for (std::size_t i = c.plan.steps.size(); i-- > 0;) {
     if constexpr (kHls) {
-      node_.engine(c.plan.steps[i].lock).unlock(c.held[i]);
+      c.engines[i]->unlock(c.held[i]);
     } else {
-      node_.engine(c.plan.steps[i].lock).release(c.held[i]);
+      c.engines[i]->release(c.held[i]);
     }
   }
 }

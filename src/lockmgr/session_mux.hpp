@@ -56,6 +56,7 @@
 #include <deque>
 #include <functional>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "common/executor.hpp"
@@ -107,6 +108,7 @@ template <class Node>
 class BasicSessionMux {
  public:
   static constexpr bool kHls = std::same_as<Node, core::HlsNode>;
+  using Engine = std::conditional_t<kHls, core::HlsEngine, naimi::NaimiEngine>;
   using Planner = std::function<void(const Op&, Plan&)>;
 
   /// Takes over `node`'s acquisition callbacks (one mux per node).
@@ -171,6 +173,10 @@ class BasicSessionMux {
     TimePoint started{0};
     Duration acquire_latency{0};
     std::vector<RequestId> held;  ///< request ids, parallel to plan.steps
+    /// The engine each issued step requested from, parallel to
+    /// plan.steps; the upgrade and the unlocks reuse it instead of a
+    /// second index lookup. Engines never move (see EngineTable).
+    std::vector<Engine*> engines;
     /// Id of the request for steps[held.size()], from request_lock's
     /// return until its grant.
     std::optional<RequestId> pending;

@@ -1,5 +1,6 @@
 #include "naimi/naimi_node.hpp"
 
+#include <memory>
 #include <stdexcept>
 
 namespace hlock::naimi {
@@ -12,22 +13,13 @@ NaimiEngine& NaimiNode::add_lock(LockId lock, NodeId initial_holder) {
   cbs.on_acquired = [this, lock](RequestId id) {
     if (on_acquired_) on_acquired_(lock, id);
   };
-  auto engine = std::make_unique<NaimiEngine>(lock, self_, initial_holder,
-                                              transport_, std::move(cbs));
-  auto [it, inserted] = engines_.emplace(lock, std::move(engine));
-  if (!inserted) throw std::logic_error("lock added twice");
-  if (lock.value < kDenseLockLimit) {
-    if (lock.value >= dense_.size()) dense_.resize(lock.value + 1, nullptr);
-    dense_[lock.value] = it->second.get();
-  }
-  return *it->second;
+  return engines_.add(lock, std::make_unique<NaimiEngine>(
+                                lock, self_, initial_holder, transport_,
+                                std::move(cbs)));
 }
 
 NaimiEngine& NaimiNode::engine(LockId lock) {
-  if (lock.value < dense_.size() && dense_[lock.value] != nullptr)
-    return *dense_[lock.value];
-  const auto it = engines_.find(lock);
-  if (it != engines_.end()) return *it->second;
+  if (NaimiEngine* found = engines_.find(lock)) return *found;
   if (lazy_holder_) return add_lock(lock, lazy_holder_(lock));
   throw std::logic_error("unknown lock");
 }

@@ -4,8 +4,9 @@
 // levels; ROADMAP "many-lock sharded engine").
 //
 // Every tree is self-contained: its own lock-id space (dense, 0-based, so
-// HlsNode's O(1) dense dispatch applies and stays allocation-free), its
-// own protocol nodes and its own simulated network. Tree t runs on shard
+// the low ids the workload touches most sit in adjacent slots of each
+// node's engine index), its own protocol nodes and its own simulated
+// network. Tree t runs on shard
 // t % shards — the tree is the unit of shard assignment, which makes
 // results invariant to the shard count: per-tree behavior never depends
 // on which other trees share its simulator (disjoint event sets), and the

@@ -1,6 +1,7 @@
-# Runs one paper_figures invocation and checks what it printed.
+# Runs one bench invocation (paper_figures, or a study binary) and checks
+# what it printed.
 #
-#   cmake -DBIN=<paper_figures> "-DARGS=<flags>" [-DGOLDEN=<file>]
+#   cmake -DBIN=<binary> "-DARGS=<flags>" [-DGOLDEN=<file>]
 #         -P paper_figures_check.cmake
 #
 # With GOLDEN the run must exit 0 and its stdout must equal the file byte
@@ -15,10 +16,10 @@ if(DEFINED GOLDEN)
   if(NOT rc EQUAL 0 OR NOT out STREQUAL expected)
     get_filename_component(golden_name "${GOLDEN}" NAME)
     file(WRITE "${golden_name}.actual" "${out}")
-    message(FATAL_ERROR "paper_figures ${ARGS}: exit ${rc}, stdout differs "
+    message(FATAL_ERROR "${BIN} ${ARGS}: exit ${rc}, stdout differs "
             "from ${GOLDEN} (actual in ${golden_name}.actual)\n${err}")
   endif()
 elseif(NOT rc EQUAL 2 OR NOT out STREQUAL "")
-  message(FATAL_ERROR "paper_figures ${ARGS}: want exit 2 and no stdout, "
+  message(FATAL_ERROR "${BIN} ${ARGS}: want exit 2 and no stdout, "
           "got exit ${rc} and:\n${out}")
 endif()

@@ -1,11 +1,12 @@
 // Heap footprint of the per-lock engines: a materialized engine costs one
-// allocation (its own object) of at most 280 bytes, lazy materialization
-// in HlsNode fills one dense slot with that one allocation, a first copy
-// grant to a new child grows one table, a token arriving at a warm engine
-// builds no temporary container, and the side record for cancels and
-// recovery stays unallocated on paths that use neither. Forests hold
-// 10^5+ materialized engines, so these counts set both their memory and
-// their speed.
+// allocation (its own object) of at most 280 bytes; in HlsNode an
+// untouched lock costs nothing, a first touch costs that one allocation
+// plus at most one doubling of the engine index, and the index stays
+// within 64 bytes per engine; a first copy grant to a new child grows one
+// table, a token arriving at a warm engine builds no temporary container,
+// and the side record for cancels and recovery stays unallocated on paths
+// that use neither. Forests hold 10^5+ materialized engines, so these
+// counts set both their memory and their speed.
 //
 // This file overrides the global allocation functions to count heap
 // traffic (allocations and bytes). Each test file builds into its own
@@ -173,18 +174,68 @@ TEST(EngineFootprint, IdleNaimiEngineIsOneAllocation) {
   EXPECT_EQ(engine->backlog_size(), 0u);
 }
 
-TEST(EngineFootprint, LazyMaterializationIsOneAllocation) {
+// A lazily-managed lock that nothing touched has no engine and no index
+// slot: looking it up allocates nothing, and touching the highest id costs
+// what touching a low one does (no table sized by the id space).
+TEST(EngineFootprint, UntouchedLockCostsNoAllocation) {
+  Outbox out;
+  HlsNode node(kB, out);
+  std::size_t found = 0;
+  EXPECT_EQ(allocations_during([&] {
+              node.set_lazy_holder([](LockId) { return kA; });
+              for (std::uint32_t id = 0; id < 100'000; ++id)
+                found += node.find(LockId{id}) != nullptr;
+              found += node.find(LockId{0xffff'fffeu}) != nullptr;
+            }),
+            0u);
+  EXPECT_EQ(found, 0u);
+  EXPECT_EQ(node.lock_count(), 0u);
+  EXPECT_EQ(node.index_bytes(), 0u);
+  const std::uint64_t low = bytes_during([&] { (void)node.engine(LockId{7}); });
+  const std::uint64_t high =
+      bytes_during([&] { (void)node.engine(LockId{0xffff'fffeu}); });
+  EXPECT_LE(high, low);
+}
+
+// Each materialization is the engine's one allocation plus, when the load
+// would pass 1/2, one doubling of the index; the very first touch builds
+// the index.
+TEST(EngineFootprint, FirstTouchIsOneEnginePlusAtMostOneIndexGrowth) {
   Outbox out;
   HlsNode node(kB, out);
   node.set_lazy_holder([](LockId) { return kA; });
-  node.reserve_dense(64);
   HlsEngine* engine = nullptr;
   EXPECT_EQ(allocations_during([&] { engine = &node.engine(LockId{7}); }),
-            1u);
+            2u);
   EXPECT_EQ(engine->lock(), LockId{7});
-  EXPECT_EQ(node.lock_count(), 1u);
-  // A second touch is a lookup.
-  EXPECT_EQ(allocations_during([&] { (void)node.engine(LockId{7}); }), 0u);
+  for (std::uint32_t k = 1; k < 1'000; ++k) {
+    const std::uint64_t n =
+        allocations_during([&] { (void)node.engine(LockId{k * 7'919}); });
+    EXPECT_GE(n, 1u) << k;
+    EXPECT_LE(n, 2u) << k;
+  }
+  EXPECT_EQ(node.lock_count(), 1'000u);
+}
+
+TEST(EngineFootprint, IndexCostsAtMost64BytesPerEngine) {
+  Outbox out;
+  HlsNode node(kB, out);
+  node.set_lazy_holder([](LockId) { return kA; });
+  for (std::uint32_t k = 0; k < 1'000; ++k) (void)node.engine(LockId{k * 13});
+  ASSERT_EQ(node.lock_count(), 1'000u);
+  EXPECT_LE(node.index_bytes() / node.lock_count(), 64u);
+}
+
+TEST(EngineFootprint, SecondTouchAllocatesNothing) {
+  Outbox out;
+  HlsNode node(kB, out);
+  node.set_lazy_holder([](LockId) { return kA; });
+  for (std::uint32_t id = 0; id < 100; ++id) (void)node.engine(LockId{id});
+  EXPECT_EQ(allocations_during([&] {
+              for (std::uint32_t id = 0; id < 100; ++id)
+                (void)node.engine(LockId{id});
+            }),
+            0u);
 }
 
 TEST(EngineFootprint, TokenArrivalAtWarmEngineAllocatesNothing) {

@@ -6,14 +6,12 @@
 #include <algorithm>
 #include <map>
 #include <memory>
-#include <set>
 #include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/hls_engine.hpp"
-#include "core/hls_node.hpp"
 #include "core/request_queue.hpp"
 #include "test_util.hpp"
 
@@ -689,40 +687,6 @@ TEST(HlsEngine, BacklogServesLocalRequestsInIssueOrder) {
   EXPECT_EQ(net.acquired['B'][0].second, Mode::kIR);
   EXPECT_EQ(net.acquired['B'][1].second, Mode::kR);
   EXPECT_EQ(net.acquired['B'][2].second, Mode::kIR);
-}
-
-
-// ------------------------------------------------------- HlsNode index --
-
-// HlsNode keeps engines in two tables: a dense one indexed by id below
-// 2^20 and a sorted sparse one above. Every walk must see both, in id
-// order, whichever order the locks were added in.
-TEST(HlsNodeIndex, DenseAndSparseIdsActAsOneIndex) {
-  testing::TestBus bus;
-  HlsNode node(NodeId{1}, bus.port(NodeId{1}));
-  const LockId sparse{(1u << 20) + 1};
-  (void)node.add_lock(LockId{7}, NodeId{0});
-  (void)node.add_lock(LockId{3}, NodeId{0});
-  (void)node.add_lock(sparse, NodeId{0});
-
-  std::vector<LockId> visited;
-  node.for_each_engine([&](LockId lock, const HlsEngine& engine) {
-    EXPECT_EQ(engine.lock(), lock);
-    visited.push_back(lock);
-  });
-  EXPECT_EQ(visited, (std::vector<LockId>{LockId{3}, LockId{7}, sparse}));
-  EXPECT_EQ(node.lock_count(), 3u);
-  EXPECT_EQ(node.engine(sparse).lock(), sparse);
-  EXPECT_EQ(node.find(LockId{5}), nullptr);
-  EXPECT_EQ(node.find(LockId{(1u << 20) + 2}), nullptr);
-  EXPECT_THROW((void)node.engine(LockId{5}), std::logic_error);
-
-  EXPECT_THROW(node.add_lock(LockId{7}, NodeId{0}), std::logic_error);
-  EXPECT_THROW(node.add_lock(sparse, NodeId{0}), std::logic_error);
-  EXPECT_EQ(node.lock_count(), 3u);
-
-  node.begin_recovery(1, NodeId{0}, std::set<NodeId>{NodeId{0}, NodeId{1}});
-  for (const LockId lock : visited) EXPECT_EQ(node.engine(lock).view(), 1u);
 }
 
 // ---- RequestQueue: an engine's local queue ----------------------------------

@@ -43,37 +43,34 @@ int main(int argc, char** argv) {
               << " sender_owned=" << to_string(m.sender_owned)
               << " q=" << m.queue.size() << "\n";
   };
+  // Reads through find(): dumping must not materialize engines, which
+  // would change the run it inspects. An absent engine is pristine.
+  auto dump = [&](LockId lk) {
+    for (size_t i = 0; i < cluster.node_count(); ++i) {
+      const core::HlsEngine* e = cluster.node(i).find(lk);
+      std::cout << "  lock" << lk.value << " node" << i;
+      if (e == nullptr) {
+        std::cout << " pristine token="
+                  << (cluster.home_of(lk).value == i) << "\n";
+        continue;
+      }
+      std::cout << " token=" << e->is_token_node()
+                << " parent=" << e->parent() << " owned=" << to_string(e->owned_mode())
+                << " held=" << to_string(e->held_mode())
+                << " pending=" << e->has_pending() << " backlog=" << e->backlog_size()
+                << " frozen=" << e->frozen().to_string() << " children={";
+      e->for_each_child([](NodeId ch, Mode m2) { std::cout << ch << ":" << to_string(m2) << " "; });
+      std::cout << "} queue=[";
+      for (auto& q : e->queue()) std::cout << q.requester << ":" << to_string(q.mode) << (q.upgrade?"^":"") << " ";
+      std::cout << "]\n";
+    }
+  };
   cluster.simulator().post_event_hook = [&] {
     const std::string err = check_safety(cluster);
     if (!err.empty()) {
       std::cout << "VIOLATION @" << cluster.simulator().now() << ": " << err << "\n";
-      // dump state
-      for (size_t i = 0; i < cluster.node_count(); ++i) {
-        auto& e = cluster.node(i).engine(LockId{0});
-        std::cout << "  node" << i << " token=" << e.is_token_node()
-                  << " parent=" << e.parent() << " owned=" << to_string(e.owned_mode())
-                  << " held=" << to_string(e.held_mode())
-                  << " pending=" << e.has_pending()
-                  << " qlen=" << e.queue().size()
-                  << " frozen=" << e.frozen().to_string() << " children={";
-        e.for_each_child([](NodeId ch, Mode m2) { std::cout << ch << ":" << to_string(m2) << " "; });
-        std::cout << "}\n";
-      }
+      dump(LockId{0});
       std::exit(1);
-    }
-  };
-  auto dump = [&](LockId lk) {
-    for (size_t i = 0; i < cluster.node_count(); ++i) {
-      auto& e = cluster.node(i).engine(lk);
-      std::cout << "  lock" << lk.value << " node" << i << " token=" << e.is_token_node()
-                << " parent=" << e.parent() << " owned=" << to_string(e.owned_mode())
-                << " held=" << to_string(e.held_mode())
-                << " pending=" << e.has_pending() << " backlog=" << e.backlog_size()
-                << " frozen=" << e.frozen().to_string() << " children={";
-      e.for_each_child([](NodeId ch, Mode m2) { std::cout << ch << ":" << to_string(m2) << " "; });
-      std::cout << "} queue=[";
-      for (auto& q : e.queue()) std::cout << q.requester << ":" << to_string(q.mode) << (q.upgrade?"^":"") << " ";
-      std::cout << "]\n";
     }
   };
   try { cluster.run(); } catch (const std::exception& e) {
