@@ -9,6 +9,9 @@
 //
 //   [many-locks] shards=4 threads=4 rounds=812 wall_ms=93.1 ev/s=1.2e6
 //
+// rounds=0 is expected without --cross-tree-pct: an uncoupled forest
+// drains tree by tree on each shard, with no conservative windows.
+//
 //   ./many_locks                                   # defaults, table
 //   ./many_locks --shards 8 --lock-count 1000000   # big forest, 8 slabs
 //   ./many_locks --zipf 0 --levels 3 --trees 8     # uniform, shallow

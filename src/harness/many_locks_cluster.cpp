@@ -367,12 +367,26 @@ Duration ManyLocksCluster::lookahead() const {
 }
 
 void ManyLocksCluster::run() {
-  for (auto& tree : trees_) {
-    for (std::size_t i = 0; i < config_.nodes; ++i) kick(*tree, i);
-  }
   const std::size_t threads =
       config_.run_threads == 0 ? config_.shards : config_.run_threads;
-  sharded_.run_all(lookahead(), threads);
+  if (coupling_) {
+    for (auto& tree : trees_) {
+      for (std::size_t i = 0; i < config_.nodes; ++i) kick(*tree, i);
+    }
+    sharded_.run_all(lookahead(), threads);
+  } else {
+    // No event crosses a tree, so each shard drains its trees one at a
+    // time from t = 0: only one tree's engines, index and network are hot
+    // at once, and the output is the interleaved run's (see sharded.hpp).
+    sharded_.drain_each(threads, [this](std::size_t shard) {
+      for (auto& tree : trees_) {
+        if (tree->shard != shard) continue;
+        for (std::size_t i = 0; i < config_.nodes; ++i) kick(*tree, i);
+        tree->sim->run_all();
+        tree->sim->rewind();
+      }
+    });
+  }
 
   std::uint64_t completed = 0;
   for (const auto& tree : trees_) completed += tree->completed;

@@ -10,16 +10,27 @@
 // works because nothing shard-dependent (round counts, per-shard clocks)
 // leaks into ManyLocksResult.
 //
+// Uncoupled forests (cross_tree_pct == 0, the default) never post an
+// event across trees, so run() drains each shard's trees one at a time
+// (ShardedSimulator::drain_each): kick one tree's nodes, run its shard to
+// an empty queue, rewind the clock to 0, next tree. There are no rounds
+// (rounds() reads 0) and only one tree's engines, index and network are
+// hot at once. The output is the interleaved run's: inside one simulator
+// a tree's events are ordered by (t, seq), and their relative order does
+// not depend on whether other trees' events sit between them.
+//
 // Multi-tree transactions (cross_tree_pct > 0) couple the shards: an op
 // acquires its plan in TWO hierarchies, the second through the partner
 // tree's *gateway* node. Gateway legs and replies travel as keyed
-// cross-shard events (ShardedSimulator::post), so the invariance above
-// now rests on the simulator's deterministic (t, key) event order rather
-// than on disjointness. Ordered mode acquires trees in tree-id order
-// (a total order — deadlock-free by construction); the opt-in unordered
-// mode always acquires the home tree first and can genuinely deadlock,
-// which run() detects via the forest-wide wait-for graph instead of
-// reporting a protocol failure.
+// cross-shard events (ShardedSimulator::post), and the shards advance in
+// conservative windows (ShardedSimulator::run_all) with mailboxes and
+// window revalidation; lookahead() serves only this path. Invariance
+// then rests on the simulator's deterministic (t, key) event order
+// rather than on disjointness. Ordered mode acquires trees in tree-id
+// order (a total order — deadlock-free by construction); the opt-in
+// unordered mode always acquires the home tree first and can genuinely
+// deadlock, which run() detects via the forest-wide wait-for graph
+// instead of reporting a protocol failure.
 //
 // Memory: nodes install a lazy engine factory instead of add_lock()-ing
 // the whole id space, so an idle lock costs nothing until first touch;
@@ -105,17 +116,20 @@ class ManyLocksCluster {
   explicit ManyLocksCluster(const ManyLocksConfig& config);
   ~ManyLocksCluster();
 
-  /// Drive every (tree, node) op stream to completion. If the forest
-  /// drains with ops outstanding, the wait-for graph decides the verdict:
+  /// Drive every (tree, node) op stream to completion: tree by tree per
+  /// shard when uncoupled, in conservative windows when coupled (see the
+  /// file header). If the forest drains with ops outstanding, the
+  /// wait-for graph decides the verdict:
   /// cycles found -> genuine application deadlock, recorded in
   /// deadlock_cycles() and result(), and run() returns normally; no
   /// cycle -> lost request, a harness/protocol bug, and run() throws.
   void run();
 
-  /// Conservative window derived from the *models*: min over every tree's
-  /// network of min_latency(), min'd with the cross-tree hop floor when
-  /// coupling is on, minus one (run_until is inclusive of its horizon, so
-  /// the safe lookahead sits strictly below the minimum latency).
+  /// Conservative window of coupled runs, derived from the *models*: min
+  /// over every tree's network of min_latency(), min'd with the
+  /// cross-tree hop floor when coupling is on, minus one (run_until is
+  /// inclusive of its horizon, so the safe lookahead sits strictly below
+  /// the minimum latency).
   [[nodiscard]] Duration lookahead() const;
 
   /// Instantaneous forest-wide wait-for graph: per-tree engine scans

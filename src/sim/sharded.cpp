@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <exception>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -176,6 +177,40 @@ void ShardedSimulator::run_parallel(Duration lookahead, std::size_t workers,
   for (std::thread& t : pool) t.join();
   if (events_processed() - start > max_events)
     throw std::runtime_error("sharded simulator event cap (livelock?)");
+}
+
+void ShardedSimulator::drain_each(
+    std::size_t threads, const std::function<void(std::size_t)>& fn) {
+  rounds_ = 0;
+  const std::size_t n = shards_.size();
+  if (threads <= 1 || n == 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  // No rounds: each worker claims whole shards until none are left, and
+  // the joins are the only synchronization. A failing shard stops further
+  // claims; shards already running finish before the error is rethrown.
+  std::atomic<std::size_t> cursor{0};
+  std::mutex error_mutex;
+  std::exception_ptr error;
+  const std::size_t workers = std::min(threads, n);
+  std::vector<std::thread> pool;
+  pool.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    pool.emplace_back([&] {
+      for (std::size_t i; (i = cursor.fetch_add(1)) < n;) {
+        try {
+          fn(i);
+        } catch (...) {
+          std::lock_guard lk(error_mutex);
+          if (!error) error = std::current_exception();
+          cursor.store(n);
+        }
+      }
+    });
+  }
+  for (std::thread& t : pool) t.join();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace hlock::sim

@@ -3,8 +3,23 @@
 // One Simulator per shard, each with its own event slab, heap and queue
 // pool (the PR 3 cache-lean core, unchanged). The harness assigns every
 // lock tree — a whole hierarchy plus its SimNetwork and nodes — to one
-// shard. Shards advance concurrently in conservative windows (classic
-// synchronous PDES):
+// shard. There are two ways to run the shards.
+//
+// Uncoupled (drain_each): when no event ever crosses a shard, every shard
+// runs apart from the others, with no windows, no mailboxes and no
+// barrier, and rounds() reads 0. The forest harness drains a shard's
+// trees one at a time — kick one tree, run to an empty queue, rewind the
+// clock to 0, next tree — so only one tree's engines, index and network
+// are hot at once. This is byte-identical to any interleaved run: inside
+// one Simulator a tree's own events are ordered by (t, seq), and their
+// relative order does not depend on whether other trees' events sit
+// between them — the same argument that already makes shard counts
+// byte-identical.
+//
+// Coupled (run_all): multi-tree transactions post events across shards,
+// so the shards advance in conservative windows (classic synchronous
+// PDES). Windows, mailboxes and revalidation below serve coupled runs
+// only:
 //
 //   round: drain cross-shard mailboxes into destination shards
 //          T    = min over shards of next_event_time()
@@ -12,19 +27,19 @@
 //          each shard with work <= H runs run_until(H), in parallel
 //          barrier; repeat until every queue AND every mailbox drains
 //
-// Cross-shard traffic (multi-tree transactions) goes through post(): the
-// source shard appends to its private mailbox row during the round, and
-// the coordinator drains every row at the next round barrier — batched
-// null messages, amortized to one drain per round. Each cross event
-// carries a deterministic order key (source tree, per-source counter);
-// Simulator orders keyed events by (t, key) independent of insertion
-// time, so a run where source and destination share a shard (direct
-// insertion at send time) is bit-identical to one where the event rides
-// a mailbox (insertion at the barrier). That, plus the strict lookahead
-// bound (`lookahead < minimum cross-event latency`, so every arrival
-// lands strictly beyond the window it was sent in), keeps sharded runs
-// byte-identical to the serial oracle — which is exactly what the CI
-// determinism step compares, now with coupled traffic.
+// Cross-shard traffic goes through post(): the source shard appends to
+// its private mailbox row during the round, and the coordinator drains
+// every row at the next round barrier — batched null messages, amortized
+// to one drain per round. Each cross event carries a deterministic order
+// key (source tree, per-source counter); Simulator orders keyed events
+// by (t, key) independent of insertion time, so a run where source and
+// destination share a shard (direct insertion at send time) is
+// bit-identical to one where the event rides a mailbox (insertion at the
+// barrier). That, plus the strict lookahead bound (`lookahead < minimum
+// cross-event latency`, so every arrival lands strictly beyond the
+// window it was sent in), keeps sharded runs byte-identical to the
+// serial oracle — which is exactly what the CI coupled determinism step
+// compares.
 //
 // Window revalidation: the drain re-checks every arrival against the
 // destination's clock. An arrival at t <= last_executed() contradicts
@@ -34,15 +49,18 @@
 // T/H derivation starts over from scratch including the new event, and a
 // revalidation counter records that the window was re-derived.
 //
-// Within a round each shard is claimed by exactly one worker, so every
-// Simulator stays single-threaded; the round barrier (mutex + condvar)
-// provides the cross-round happens-before edge when a shard migrates
-// between workers (mailbox rows are written only by their source shard's
-// worker and read only by the coordinator after the barrier).
+// Threads: in both modes a shard is claimed by exactly one worker at a
+// time, so every Simulator stays single-threaded. drain_each hands out
+// whole shards through an atomic cursor and joins once at the end. In
+// run_all the round barrier (mutex + condvar) provides the cross-round
+// happens-before edge when a shard migrates between workers (mailbox
+// rows are written only by their source shard's worker and read only by
+// the coordinator after the barrier).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -64,9 +82,9 @@ class ShardedSimulator {
 
   /// Events executed across all shards.
   [[nodiscard]] std::uint64_t events_processed() const;
-  /// Conservative-window rounds executed by the last run_all() call.
-  /// Depends on the shard count and lookahead — diagnostic only, never
-  /// part of deterministic output.
+  /// Conservative-window rounds executed by the last run_all() call; 0
+  /// after drain_each(). Depends on the shard count and lookahead —
+  /// diagnostic only, never part of deterministic output.
   [[nodiscard]] std::uint64_t rounds() const { return rounds_; }
 
   /// Post a cross-shard event: run `fn` on shard `dst` at time `t` with
@@ -106,6 +124,16 @@ class ShardedSimulator {
   /// inside one window stops promptly instead of running away.
   void run_all(Duration lookahead, std::size_t threads,
                std::uint64_t max_events = 2'000'000'000);
+
+  /// Uncoupled runs: call `fn(i)` once for every shard i; `fn` drains
+  /// that shard on its own and must not post() to another shard. No
+  /// windows and no barrier, so rounds() reads 0 afterwards. `threads`
+  /// <= 1 or a single shard calls `fn` in shard-index order on this
+  /// thread; otherwise up to `threads` workers claim whole shards through
+  /// an atomic cursor. The first exception any `fn` throws is rethrown
+  /// here once every worker has stopped.
+  void drain_each(std::size_t threads,
+                  const std::function<void(std::size_t shard)>& fn);
 
  private:
   struct CrossEvent {

@@ -109,6 +109,12 @@ std::uint64_t Simulator::run_until(TimePoint deadline,
   return n;
 }
 
+void Simulator::rewind() {
+  if (!heap_.empty()) throw std::logic_error("rewind with events queued");
+  now_ = 0;
+  last_executed_ = kNever;
+}
+
 void Simulator::run_all(std::uint64_t max_events) {
   std::uint64_t n = 0;
   while (step()) {

@@ -111,6 +111,12 @@ class Simulator {
   /// Run until the queue drains (or the event cap trips, which indicates a
   /// livelock bug and throws).
   void run_all(std::uint64_t max_events = 500'000'000);
+  /// Restart virtual time on a drained simulator: now() reads 0 and
+  /// last_executed() kNever again, while the slab, heap and queue-buffer
+  /// pool keep their storage. Throws if any event is still queued. The
+  /// forest harness drains uncoupled trees one after another on one
+  /// simulator this way, each from t = 0.
+  void rewind();
 
   /// Borrow an empty QueuedRequest buffer, reusing the capacity of a
   /// previously delivered Message::queue when one is pooled. Senders that

@@ -1,5 +1,5 @@
-# Runs one bench invocation (paper_figures, or a study binary) and checks
-# what it printed.
+# Runs one bench invocation (paper_figures, a study binary or many_locks)
+# and checks what it printed.
 #
 #   cmake -DBIN=<binary> "-DARGS=<flags>" [-DGOLDEN=<file>]
 #         -P paper_figures_check.cmake

@@ -3,7 +3,8 @@
 // free-list recycling under churn, queue-buffer pooling, the
 // zero-steady-state-allocation guarantee, and what running events in
 // place relies on (a handler's Message survives slab growth, its slot is
-// not reused while it runs, closure captures die with the step).
+// not reused while it runs, closure captures die with the step), and
+// rewind() restarting the clock of a drained simulator.
 //
 // This file overrides the global allocation functions to count heap
 // traffic. Each test file builds into its own executable (see
@@ -14,6 +15,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -235,6 +237,25 @@ TEST(EventSlab, QueuePoolIgnoresEmptyAndRespectsCap) {
   }
   EXPECT_LE(s.pooled_queue_buffers(), 64u);
   EXPECT_GT(s.pooled_queue_buffers(), 0u);
+}
+
+TEST(EventSlab, RewindRestartsTheClockOnlyWhenDrained) {
+  Simulator sim;
+  int ran = 0;
+  sim.schedule_at(50, [&] { ++ran; });
+  EXPECT_THROW(sim.rewind(), std::logic_error);  // an event is queued
+  sim.run_all();
+  EXPECT_EQ(sim.now(), 50);
+  EXPECT_EQ(sim.last_executed(), 50);
+  EXPECT_THROW(sim.schedule_at(0, [] {}), std::logic_error);  // the past
+  sim.rewind();
+  EXPECT_EQ(sim.now(), 0);
+  EXPECT_EQ(sim.last_executed(), Simulator::kNever);
+  sim.schedule_at(0, [&] { ++ran; });
+  sim.run_all();
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(sim.last_executed(), 0);
+  EXPECT_EQ(sim.events_processed(), 2u);
 }
 
 TEST(EventSlab, SteadyStateSchedulesWithZeroHeapAllocations) {

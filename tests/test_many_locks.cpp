@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <vector>
 
 #include "harness/many_locks_cluster.hpp"
@@ -180,6 +181,39 @@ TEST(ShardedSimulator, ZeroLookaheadLivelockStopsAtTheEventBudget) {
                std::runtime_error);
 }
 
+TEST(ShardedSimulator, DrainEachVisitsEveryShardOnceWithNoRounds) {
+  // Each shard drains on its own: every shard index is handed out exactly
+  // once, at any worker count, and no window round runs. A windowed run
+  // first leaves rounds() nonzero, so the reset is what is checked.
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    sim::ShardedSimulator sharded(5);
+    sharded.shard(0).schedule_at(1, [] {});
+    sharded.run_all(/*lookahead=*/1, /*threads=*/1);
+    ASSERT_GT(sharded.rounds(), 0u);
+    std::vector<std::atomic<int>> visits(5);
+    sharded.drain_each(threads, [&](std::size_t shard) {
+      visits[shard].fetch_add(1, std::memory_order_relaxed);
+      sharded.shard(shard).schedule_at(10, [] {});
+      sharded.shard(shard).run_all();
+    });
+    for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
+    EXPECT_EQ(sharded.events_processed(), 1u + 5u);
+    EXPECT_EQ(sharded.rounds(), 0u);
+  }
+}
+
+TEST(ShardedSimulator, DrainEachRethrowsAShardsError) {
+  for (const std::size_t threads : {1u, 4u}) {
+    sim::ShardedSimulator sharded(4);
+    EXPECT_THROW(sharded.drain_each(threads,
+                                    [](std::size_t shard) {
+                                      if (shard == 2)
+                                        throw std::runtime_error("shard 2");
+                                    }),
+                 std::runtime_error);
+  }
+}
+
 TEST(ManyLocks, CompletesEveryOp) {
   const ManyLocksResult r = run_with(small_config(), 1);
   EXPECT_EQ(r.ops, 6u * 3 * 8);
@@ -292,6 +326,41 @@ TEST(ManyLocks, UncoupledConfigPostsNoCrossEvents) {
   cluster.run();
   EXPECT_EQ(cluster.sharded().cross_posts(), 0u);
   EXPECT_EQ(cluster.sharded().mailbox_events(), 0u);
+}
+
+TEST(ManyLocks, UncoupledRunDrainsTreesWithNoRounds) {
+  // With no cross-tree ops every shard drains its trees one at a time,
+  // with no conservative window; the result must not depend on the shard
+  // or worker layout. SeedRegression.ForestCounts pins the same forest's
+  // counts across builds.
+  const ManyLocksResult serial = run_with(small_config(), 1, 1);
+  for (const std::size_t shards : {1u, 3u, 6u}) {
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      ManyLocksConfig cfg = small_config();
+      cfg.shards = shards;
+      cfg.run_threads = threads;
+      ManyLocksCluster cluster(cfg);
+      cluster.run();
+      EXPECT_EQ(cluster.rounds(), 0u) << shards << " shards";
+      EXPECT_EQ(cluster.result(), serial)
+          << shards << " shards, " << threads << " threads";
+    }
+  }
+}
+
+TEST(ManyLocks, ClusteredUncoupledForestIsShardAndThreadInvariant) {
+  // Two latency classes per tree (1 ms intra-cluster, the flat mean
+  // between clusters) and no coupling: the per-tree drain must still
+  // reproduce the serial result at any shard and worker count.
+  ManyLocksConfig cfg = small_config();
+  cfg.clusters = 2;
+  cfg.intra_latency_mean = usec(1000);
+  const ManyLocksResult serial = run_with(cfg, 1);
+  EXPECT_EQ(serial.ops, 6u * 3 * 8);
+  EXPECT_EQ(serial.cross_tree_ops, 0u);
+  EXPECT_EQ(serial, run_with(cfg, 3));
+  EXPECT_EQ(serial, run_with(cfg, 3, 2));
+  EXPECT_EQ(serial, run_with(cfg, 6, 8));
 }
 
 namespace {
