@@ -13,8 +13,6 @@ void usage_error(const std::string& what, const char* usage) {
   std::exit(2);
 }
 
-namespace {
-
 // Strict flag-value parsing: the whole token must be a number, otherwise
 // it is a usage error — never a silent 0/truncation like the strtoul
 // calls these replaced ("--nodes abc" used to run the binary-default
@@ -43,6 +41,15 @@ std::uint64_t parse_u64(const std::string& flag, const std::string& text,
   return *v;
 }
 
+double parse_double(const std::string& flag, const std::string& text,
+                    const char* usage) {
+  const auto v = try_parse_double(text);
+  if (!v) usage_error(flag + " expects a number, got '" + text + "'", usage);
+  return *v;
+}
+
+namespace {
+
 int parse_int(const std::string& flag, const std::string& text,
               const char* usage) {
   const auto v = try_parse_int(text);
@@ -64,6 +71,7 @@ CliOptions parse_cli(int argc, char** argv, const char* usage,
     };
     if (arg == "--nodes") {
       opt.nodes = parse_size(arg, value(), usage);
+      if (opt.nodes == 0) usage_error("--nodes must be >= 1", usage);
     } else if (arg == "--ops") {
       opt.ops = parse_u32(arg, value(), usage);
     } else if (arg == "--seed") {
@@ -133,10 +141,6 @@ harness::SweepOptions sweep_options(const CliOptions& cli) {
   opts.threads = cli.threads;
   opts.repeat = cli.repeat;
   return opts;
-}
-
-std::vector<std::size_t> sweep_nodes(const CliOptions& cli) {
-  return harness::sweep_node_counts(cli.nodes != 0 ? cli.nodes : 120);
 }
 
 }  // namespace hlock::bench

@@ -3,7 +3,7 @@
 // Every sweep binary accepts the same core flags with the same defaults:
 //
 //   --nodes N      cap the node-count sweep at N (or, for single-point
-//                  binaries, run that one size)
+//                  binaries, run that one size), >= 1
 //   --ops N        workload ops per node
 //   --seed S       workload seed (decimal or 0x hex)
 //   --threads N    sweep worker threads (0 = hardware concurrency)
@@ -13,7 +13,7 @@
 //   --lock-count N total locks across the forest (bench/many_locks)
 //   --zipf T       Zipf skew of page selection, >= 0 (bench/many_locks)
 //   --clusters N   cluster count of the simulated topology, >= 1
-//                  (1 = flat; bench/topology_locality)
+//                  (1 = flat; paper_figures --figure topology_locality)
 //   --intra-latency-ms M   mean intra-cluster latency in ms, > 0
 //   --inter-latency-ms M   mean inter-cluster latency in ms, > 0
 //   --locality-bias        enable locality-biased token hand-off
@@ -48,7 +48,7 @@ struct CliOptions {
   std::uint32_t lock_count = 0;  ///< 0 = binary default
   double zipf = 0.0;
   bool zipf_set = false;
-  // Topology flags (bench/topology_locality; ignored elsewhere).
+  // Topology flags (--figure topology_locality; ignored elsewhere).
   std::size_t clusters = 0;       ///< 0 = binary default
   double intra_latency_ms = 0.0;  ///< 0 = binary default
   double inter_latency_ms = 0.0;  ///< 0 = binary default
@@ -72,14 +72,23 @@ CliOptions parse_cli(int argc, char** argv, const char* usage,
 /// Print "error: <what>" and `usage` to stderr, then exit with status 2.
 [[noreturn]] void usage_error(const std::string& what, const char* usage);
 
+/// Strict parses of one flag value: a value that is not wholly a number
+/// of the type is a usage error (see usage_error). `base` as in
+/// try_parse_u64: 0 also accepts 0x-prefixed hex.
+std::size_t parse_size(const std::string& flag, const std::string& text,
+                       const char* usage);
+std::uint32_t parse_u32(const std::string& flag, const std::string& text,
+                        const char* usage);
+std::uint64_t parse_u64(const std::string& flag, const std::string& text,
+                        const char* usage, int base = 10);
+double parse_double(const std::string& flag, const std::string& text,
+                    const char* usage);
+
 /// Overlay --ops / --seed onto a spec whose fields hold the binary's
 /// defaults.
 void apply(const CliOptions& cli, workload::WorkloadSpec& spec);
 
 /// Runner configuration from --threads / --repeat.
 harness::SweepOptions sweep_options(const CliOptions& cli);
-
-/// The standard node-count sweep capped at --nodes (default 120).
-std::vector<std::size_t> sweep_nodes(const CliOptions& cli);
 
 }  // namespace hlock::bench

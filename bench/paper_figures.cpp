@@ -1,44 +1,39 @@
-// The paper's Figures 5-7, its §6 claims and the extensions over the same
-// simulated sweep, one per run. A row of kFigures holds a figure's default
-// ops, the points it simulates and its table (--json prints the results).
+// The paper's Figures 5-7, its §6 claims, the extensions over the same
+// simulated sweep and the extension studies (bench/studies.cpp), one per
+// run. A row of kFigures holds a figure's defaults, the points it
+// simulates and its printers (--json prints the results).
 #include <cmath>
 #include <iostream>
 #include <map>
 #include <string>
 #include <tuple>
 
-#include "bench/cli.hpp"
-#include "harness/experiment.hpp"
+#include "bench/paper_figures.hpp"
 #include "harness/json.hpp"
-#include "harness/sweep_runner.hpp"
 
 namespace {
 
 using namespace hlock;
 using namespace hlock::harness;
+using bench::Ctx;
+using bench::Results;
+using bench::num;
 
 constexpr const char* kUsage =
     "usage: paper_figures --figure NAME [--nodes N] [--ops N] [--seed S]\n"
     "         [--threads N] [--repeat N] [--json]\n"
+    "         [--clusters N] [--intra-latency-ms M] [--inter-latency-ms M]\n"
+    "         [--fairness-cap N]   (topology_locality)\n"
     "NAME: fig5_message_overhead fig6_latency fig7_breakdown summary_claims\n"
-    "      bandwidth permode_latency path_length\n";
-
-/// The flags, the workload with the figure's ops default and the sweep.
-struct Ctx {
-  bench::CliOptions cli;
-  workload::WorkloadSpec spec;
-  std::vector<std::size_t> nodes;
-};
-
-using Results = std::vector<ExperimentResult>;
-
-std::string num(double v, int p = 2) { return TablePrinter::num(v, p); }
+    "      bandwidth permode_latency path_length\n"
+    "      ablations sensitivity loss_resilience topology_locality\n"
+    "      priority_arbitration granularity churn recovery\n";
 
 /// Protocols Ps at every swept node count: one group of results per count.
 template <Protocol... Ps>
 std::vector<SweepPoint> sweep(const Ctx& c) {
   std::vector<SweepPoint> points;
-  for (const std::size_t n : c.nodes)
+  for (const std::size_t n : sweep_node_counts(c.nodes))
     for (const Protocol p : {Ps...}) points.push_back(make_point(p, n, c.spec));
   return points;
 }
@@ -54,7 +49,7 @@ constexpr auto hls_sweep = &sweep<Protocol::kHls>;
 // Paper's reading: our protocol flattens at ~3 messages, Naimi pure at ~4
 // (ours ~20 % lower despite richer functionality), Naimi same work grows
 // superlinearly.
-void fig5(const Ctx& c, const Results& r) {
+int fig5(const Ctx& c, const Results& r) {
   std::cout << "Figure 5: message overhead (messages per lock request)\n"
             << "workload: IR/R/U/IW/W = 80/10/4/5/1%, cs=15ms, idle=150ms, "
                "net=150ms, seed=" << c.spec.seed << "\n\n";
@@ -68,6 +63,7 @@ void fig5(const Ctx& c, const Results& r) {
   table.print(std::cout);
   std::cout << "\npaper: ours -> ~3 asymptote | naimi pure -> ~4 (ours ~20% "
                "lower) | same work superlinear\n";
+  return 0;
 }
 
 // Figure 6 — "Request Latency (as a factor of point-to-point latency)":
@@ -77,7 +73,7 @@ void fig5(const Ctx& c, const Results& r) {
 // Paper's reading: our protocol grows linearly (factor ~90 at 120 nodes),
 // Naimi pure linearly with a worse constant (~160 at 120), Naimi same work
 // superlinearly (~240 at 120 and climbing).
-void fig6(const Ctx&, const Results& r) {
+int fig6(const Ctx&, const Results& r) {
   std::cout << "Figure 6: request latency factor (mean acquire latency / "
                "150ms point-to-point latency)\n\n";
   TablePrinter table({"nodes", "our-protocol", "naimi-pure",
@@ -90,6 +86,7 @@ void fig6(const Ctx&, const Results& r) {
   table.print(std::cout);
   std::cout << "\npaper @120 nodes: ours ~90 | naimi pure ~160 | same work "
                "~240 (superlinear)\n";
+  return 0;
 }
 
 // Figure 7 — "Message Behavior": our protocol's message overhead broken
@@ -101,7 +98,7 @@ void fig6(const Ctx&, const Results& r) {
 // increasingly improbable); copy grants rise and stabilize (requests end
 // as either transfers or grants); releases track grants; freezes rise
 // then stay constant (at most five modes can be frozen).
-void fig7(const Ctx&, const Results& r) {
+int fig7(const Ctx&, const Results& r) {
   std::cout << "Figure 7: message breakdown for our protocol "
                "(messages per lock request, by type)\n\n";
   TablePrinter table({"nodes", "request", "grant", "token", "release",
@@ -115,6 +112,7 @@ void fig7(const Ctx&, const Results& r) {
   std::cout << "\npaper: request rises then flattens; token transfer "
                "decreases to a constant; grant/release rise and stabilize; "
                "freeze small and constant\n";
+  return 0;
 }
 
 // §6 headline claims at the paper's largest configuration (120 nodes):
@@ -128,13 +126,13 @@ void fig7(const Ctx&, const Results& r) {
 // {hls@N, pure@N, hls@N/2} in one run() and indexes the results. N is
 // --nodes, at least 4 so that the half-size run has traffic.
 std::vector<SweepPoint> claims_points(const Ctx& c) {
-  const std::size_t n = c.cli.nodes != 0 ? c.cli.nodes : 120;
+  const std::size_t n = c.nodes;
   return {make_point(Protocol::kHls, n, c.spec),
           make_point(Protocol::kNaimiPure, n, c.spec),
           make_point(Protocol::kHls, n / 2, c.spec)};
 }
 
-void summary_claims(const Ctx&, const Results& r) {
+int summary_claims(const Ctx&, const Results& r) {
   const auto& ours = r[0];
   const auto& pure = r[1];
   std::cout << "Conclusion (§6) claims at " << ours.nodes << " nodes\n\n";
@@ -157,13 +155,14 @@ void summary_claims(const Ctx&, const Results& r) {
   std::cout << "overhead growth " << r[2].nodes << " -> " << ours.nodes
             << " nodes: x" << num(growth)
             << " (flat/logarithmic expected, 2.0 would be linear)\n";
+  return 0;
 }
 
 // Wire bandwidth: bytes per lock request for the three configurations.
 // Message COUNT (Figure 5) is the paper's metric, but a token transfer
 // ships a whole queue while a release is a few dozen bytes — this figure
 // checks that the byte story matches the count story.
-void bandwidth(const Ctx&, const Results& r) {
+int bandwidth(const Ctx&, const Results& r) {
   const auto per = [](double bytes, double n) { return num(bytes / n, 1); };
   std::cout << "Wire bandwidth (bytes per lock request, serialized + "
                "framing)\n\n";
@@ -181,6 +180,7 @@ void bandwidth(const Ctx&, const Results& r) {
                "BYTE cost converges with Naimi pure — the paper's metric "
                "choice (count) matters on latency-bound networks where "
                "per-message overhead dominates size\n";
+  return 0;
 }
 
 // Extension to Figure 6: the paper reports latency "averaged over all
@@ -188,7 +188,7 @@ void bandwidth(const Ctx&, const Results& r) {
 // breakdown behind that average for our protocol: intent/leaf entry ops
 // are cheap and parallel, table-wide R/U ops pay for draining intent
 // writers, and W pays the most.
-void permode_latency(const Ctx&, const Results& r) {
+int permode_latency(const Ctx&, const Results& r) {
   std::cout << "Per-request-type latency factor for our protocol "
                "(breakdown of Figure 6's average)\n\n";
   TablePrinter table({"nodes", "entry_read(IR)", "table_read(R)", "upgrade(U)",
@@ -206,6 +206,7 @@ void permode_latency(const Ctx&, const Results& r) {
   table.print(std::cout);
   std::cout << "\nexpected: entry ops stay cheap (high parallelism via "
                "intent modes); table-wide ops dominate the average\n";
+  return 0;
 }
 
 // Request-propagation path length — direct measurement of the O(log n)
@@ -216,7 +217,7 @@ void permode_latency(const Ctx&, const Results& r) {
 // Each HLS sweep point needs a per-run network hook, so this figure runs
 // the clusters itself on the sweep runner's generic parallel map: every
 // index builds its own cluster and writes only its own result slot.
-void path_length(const Ctx& c, const Results&) {
+int path_length(const Ctx& c, const Results&) {
   const std::vector<SweepPoint> points = hls_sweep(c);
   std::vector<Summary> hops(points.size());
   SweepRunner(bench::sweep_options(c.cli))
@@ -239,32 +240,59 @@ void path_length(const Ctx& c, const Results&) {
   std::cout << "Request path length (hops per REQUEST until served) — the "
                "O(log n) propagation claim\n\n";
   TablePrinter table({"nodes", "mean hops", "p95 hops", "max", "log2(n)"});
-  for (std::size_t i = 0; i < c.nodes.size(); ++i)
-    table.row({std::to_string(c.nodes[i]), num(hops[i].mean()),
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const std::size_t n = points[i].config.nodes;
+    table.row({std::to_string(n), num(hops[i].mean()),
                num(hops[i].percentile(0.95), 0), num(hops[i].max(), 0),
-               num(std::log2(static_cast<double>(c.nodes[i])))});
+               num(std::log2(static_cast<double>(n)))});
+  }
   table.print(std::cout);
   std::cout << "\nexpected: mean hops grows much slower than n and stays "
                "at or below log2(n) thanks to path compression\n";
+  return 0;
 }
+
+/// --json for the sweep figures: every point's result, in order.
+int json_array(const Ctx&, const Results& r) {
+  write_json_array(std::cout, r);
+  return 0;
+}
+
+using Printer = int (*)(const Ctx&, const Results&);
 
 struct Figure {
   const char* name;
-  std::uint32_t ops_per_node;
+  std::uint32_t ops_per_node;  ///< 0: the row does not read --ops
+  /// Default --nodes: the sweep's cap or the cluster size (0: not read).
+  std::size_t nodes;
   std::size_t min_nodes;  ///< smallest --nodes with something to print
-  bool json;              ///< --json prints the points' results
   std::vector<SweepPoint> (*points)(const Ctx&);  ///< null: own rig
-  void (*print)(const Ctx&, const Results&);
+  Printer print;          ///< returns the exit status
+  Printer json;           ///< null: no --json output
 };
 
 constexpr Figure kFigures[] = {
-    {"fig5_message_overhead", 60, 2, true, three_protocol_sweep, fig5},
-    {"fig6_latency", 60, 2, true, three_protocol_sweep, fig6},
-    {"fig7_breakdown", 60, 2, true, hls_sweep, fig7},
-    {"summary_claims", 80, 4, false, claims_points, summary_claims},
-    {"bandwidth", 60, 2, true, three_protocol_sweep, bandwidth},
-    {"permode_latency", 80, 2, true, hls_sweep, permode_latency},
-    {"path_length", 60, 2, false, nullptr, path_length},
+    {"fig5_message_overhead", 60, 120, 2, three_protocol_sweep, fig5,
+     json_array},
+    {"fig6_latency", 60, 120, 2, three_protocol_sweep, fig6, json_array},
+    {"fig7_breakdown", 60, 120, 2, hls_sweep, fig7, json_array},
+    {"summary_claims", 80, 120, 4, claims_points, summary_claims, nullptr},
+    {"bandwidth", 60, 120, 2, three_protocol_sweep, bandwidth, json_array},
+    {"permode_latency", 80, 120, 2, hls_sweep, permode_latency, json_array},
+    {"path_length", 60, 120, 2, nullptr, path_length, nullptr},
+    {"ablations", 60, 0, 1, bench::ablations_points, bench::ablations,
+     nullptr},
+    {"sensitivity", 40, 60, 1, bench::sensitivity_points, bench::sensitivity,
+     nullptr},
+    {"loss_resilience", 40, 24, 1, bench::loss_points, bench::loss_resilience,
+     nullptr},
+    {"topology_locality", 40, 32, 1, bench::topology_points,
+     bench::topology_locality, bench::topology_json},
+    {"priority_arbitration", 0, 0, 1, nullptr, bench::priority_arbitration,
+     nullptr},
+    {"granularity", 0, 0, 1, nullptr, bench::granularity, nullptr},
+    {"churn", 0, 0, 1, nullptr, bench::churn, nullptr},
+    {"recovery", 0, 0, 1, nullptr, bench::recovery, nullptr},
 };
 
 }  // namespace
@@ -284,17 +312,13 @@ int main(int argc, char** argv) {
   if (cli.nodes != 0 && cli.nodes < fig->min_nodes)
     bench::usage_error("--figure " + name + " needs --nodes >= " +
                            std::to_string(fig->min_nodes), kUsage);
-  if (cli.json && !fig->json)
+  if (cli.json && fig->json == nullptr)
     bench::usage_error("--figure " + name + " has no --json output", kUsage);
-  Ctx c{cli, {}, bench::sweep_nodes(cli)};
+  Ctx c{cli, {}, cli.nodes != 0 ? cli.nodes : fig->nodes};
   c.spec.ops_per_node = fig->ops_per_node;
   bench::apply(cli, c.spec);
   const Results results =
       fig->points ? SweepRunner(bench::sweep_options(cli)).run(fig->points(c))
                   : Results{};
-  if (cli.json)
-    write_json_array(std::cout, results);
-  else
-    fig->print(c, results);
-  return 0;
+  return (cli.json ? fig->json : fig->print)(c, results);
 }

@@ -1,6 +1,6 @@
 // hlock_experiment — run any single experiment configuration from the
 // command line, printing a summary table and optionally machine-readable
-// JSON. The scripting companion to the fixed-figure bench binaries.
+// JSON. The scripting companion to bench/paper_figures' fixed rows.
 //
 //   ./hlock_experiment --protocol hls --nodes 64 --ops 100 --seed 7
 //   ./hlock_experiment --protocol naimi-pure --nodes 120 --json
@@ -19,16 +19,17 @@
 //   --threads N        sweep worker threads (0 = hardware concurrency)
 //   --json             emit JSON instead of the ASCII table
 //
-// Numeric values are validated strictly; `--nodes abc` is a usage error
-// (exit 2), not a silently defaulted run.
-#include <cstdlib>
-#include <cstring>
+// Numeric values are validated strictly, and a value no run accepts
+// (`--nodes 0`, `--loss 1.5`, a mix that does not sum to 1) is rejected
+// before anything runs: both are usage errors (exit 2).
 #include <iostream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "common/parse.hpp"
+#include "bench/cli.hpp"
 #include "harness/experiment.hpp"
 #include "harness/json.hpp"
 #include "harness/sweep_runner.hpp"
@@ -37,6 +38,14 @@ using namespace hlock;
 using namespace hlock::harness;
 
 namespace {
+
+constexpr const char* kUsage =
+    "usage: hlock_experiment [--protocol hls|naimi-pure|naimi-same-work]\n"
+    "         [--nodes N] [--ops N] [--seed S] [--loss P] [--cs MS]\n"
+    "         [--idle MS] [--latency MS] [--mix a,b,c,d,e] [--home-bias P]\n"
+    "         [--entries N] [--no-child-grants] [--no-local-queues]\n"
+    "         [--no-freezing] [--eager-releases] [--priorities] [--sweep]\n"
+    "         [--threads N] [--json]\n";
 
 struct Options {
   Protocol protocol = Protocol::kHls;
@@ -49,51 +58,22 @@ struct Options {
   std::size_t threads = 0;
 };
 
-[[noreturn]] void usage_error(const std::string& what) {
-  std::cerr << "error: " << what << " (see the header of this tool's "
-            << "source for options)\n";
-  std::exit(2);
-}
-
-// Strict parses: the whole token must be a number, or it's a usage error
-// — std::stoul would throw uncaught on garbage and terminate, and
-// silently accept trailing junk ("12x" -> 12).
-std::size_t parse_size(const std::string& flag, const std::string& text) {
-  const auto v = try_parse_size(text);
-  if (!v)
-    usage_error(flag + " expects an unsigned integer, got '" + text + "'");
-  return *v;
-}
-
-std::uint32_t parse_u32(const std::string& flag, const std::string& text) {
-  const auto v = try_parse_u32(text);
-  if (!v)
-    usage_error(flag + " expects an unsigned 32-bit integer, got '" + text +
-                "'");
-  return *v;
-}
-
-std::uint64_t parse_u64(const std::string& flag, const std::string& text,
-                        int base = 10) {
-  const auto v = try_parse_u64(text, base);
-  if (!v)
-    usage_error(flag + " expects an unsigned integer, got '" + text + "'");
-  return *v;
-}
-
-double parse_double(const std::string& flag, const std::string& text) {
-  const auto v = try_parse_double(text);
-  if (!v) usage_error(flag + " expects a number, got '" + text + "'");
-  return *v;
-}
-
 Options parse(int argc, char** argv) {
+  using bench::usage_error;
+  const auto ms = [](const std::string& flag, const std::string& text) {
+    const std::uint64_t v = bench::parse_u64(flag, text, kUsage);
+    // msec() scales by 1000 in a signed Duration; larger values overflow.
+    if (v > static_cast<std::uint64_t>(
+                std::numeric_limits<Duration>::max() / 1000))
+      usage_error(flag + " is out of range, got '" + text + "'", kUsage);
+    return msec(static_cast<Duration>(v));
+  };
   Options opt;
   opt.spec.ops_per_node = 60;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> std::string {
-      if (++i >= argc) usage_error("missing value for " + arg);
+      if (++i >= argc) usage_error("missing value for " + arg, kUsage);
       return argv[i];
     };
     if (arg == "--protocol") {
@@ -102,35 +82,33 @@ Options parse(int argc, char** argv) {
       else if (p == "naimi-pure") opt.protocol = Protocol::kNaimiPure;
       else if (p == "naimi-same-work")
         opt.protocol = Protocol::kNaimiSameWork;
-      else usage_error("unknown protocol " + p);
+      else usage_error("unknown protocol " + p, kUsage);
     } else if (arg == "--nodes") {
-      opt.nodes = parse_size(arg, value());
+      opt.nodes = bench::parse_size(arg, value(), kUsage);
     } else if (arg == "--ops") {
-      opt.spec.ops_per_node = parse_u32(arg, value());
+      opt.spec.ops_per_node = bench::parse_u32(arg, value(), kUsage);
     } else if (arg == "--seed") {
-      opt.spec.seed = parse_u64(arg, value(), 0);
+      opt.spec.seed = bench::parse_u64(arg, value(), kUsage, 0);
     } else if (arg == "--loss") {
-      opt.loss = parse_double(arg, value());
+      opt.loss = bench::parse_double(arg, value(), kUsage);
     } else if (arg == "--cs") {
-      opt.spec.cs_mean = msec(static_cast<std::int64_t>(
-          parse_u64(arg, value())));
+      opt.spec.cs_mean = ms(arg, value());
     } else if (arg == "--idle") {
-      opt.spec.idle_mean = msec(static_cast<std::int64_t>(
-          parse_u64(arg, value())));
+      opt.spec.idle_mean = ms(arg, value());
     } else if (arg == "--latency") {
-      opt.spec.net_latency_mean = msec(static_cast<std::int64_t>(
-          parse_u64(arg, value())));
+      opt.spec.net_latency_mean = ms(arg, value());
     } else if (arg == "--home-bias") {
-      opt.spec.home_bias = parse_double(arg, value());
+      opt.spec.home_bias = bench::parse_double(arg, value(), kUsage);
     } else if (arg == "--entries") {
-      opt.spec.entries_per_node = parse_u32(arg, value());
+      opt.spec.entries_per_node = bench::parse_u32(arg, value(), kUsage);
     } else if (arg == "--mix") {
       std::istringstream in(value());
       std::string part;
       std::vector<double> parts;
       while (std::getline(in, part, ','))
-        parts.push_back(parse_double("--mix", part));
-      if (parts.size() != 5) usage_error("--mix expects 5 comma values");
+        parts.push_back(bench::parse_double(arg, part, kUsage));
+      if (parts.size() != 5)
+        usage_error("--mix expects 5 comma values", kUsage);
       opt.spec.p_entry_read = parts[0];
       opt.spec.p_table_read = parts[1];
       opt.spec.p_upgrade = parts[2];
@@ -149,14 +127,23 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--sweep") {
       opt.sweep = true;
     } else if (arg == "--threads") {
-      opt.threads = parse_size(arg, value());
+      opt.threads = bench::parse_size(arg, value(), kUsage);
     } else if (arg == "--json") {
       opt.json = true;
     } else {
-      usage_error("unknown argument " + arg);
+      usage_error("unknown argument " + arg, kUsage);
     }
   }
-  opt.spec.validate();
+  if (opt.nodes == 0) usage_error("--nodes must be >= 1", kUsage);
+  if (!(opt.loss >= 0.0 && opt.loss < 1.0))
+    usage_error("--loss must be in [0, 1)", kUsage);
+  // validate() only checks the spec's fields, so its invalid_argument is
+  // bad input; an error the run itself throws still ends the process.
+  try {
+    opt.spec.validate();
+  } catch (const std::invalid_argument& e) {
+    usage_error(e.what(), kUsage);
+  }
   return opt;
 }
 
