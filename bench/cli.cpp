@@ -109,8 +109,6 @@ CliOptions parse_cli(int argc, char** argv, const char* usage,
                     usage);
       (arg == "--intra-latency-ms" ? opt.intra_latency_ms
                                    : opt.inter_latency_ms) = *ms;
-    } else if (arg == "--locality-bias") {
-      opt.locality_bias = true;
     } else if (arg == "--fairness-cap") {
       opt.fairness_cap = parse_u32(arg, value(), usage);
       if (opt.fairness_cap == 0 || opt.fairness_cap > 255)

@@ -16,7 +16,6 @@
 //                  (1 = flat; paper_figures --figure topology_locality)
 //   --intra-latency-ms M   mean intra-cluster latency in ms, > 0
 //   --inter-latency-ms M   mean inter-cluster latency in ms, > 0
-//   --locality-bias        enable locality-biased token hand-off
 //   --fairness-cap N       locality bypass cap, 1..255
 //
 // Numeric values are parsed strictly: `--nodes abc` or `--seed 12x` is a
@@ -52,7 +51,6 @@ struct CliOptions {
   std::size_t clusters = 0;       ///< 0 = binary default
   double intra_latency_ms = 0.0;  ///< 0 = binary default
   double inter_latency_ms = 0.0;  ///< 0 = binary default
-  bool locality_bias = false;
   std::uint32_t fairness_cap = 0;  ///< 0 = engine default
 };
 

@@ -159,7 +159,7 @@ void TcpNode::set_control_handler(
 }
 
 void TcpNode::send_control(NodeId to, std::vector<std::uint8_t> bytes) {
-  loop_.post([this, to, bytes = std::move(bytes)]() mutable {
+  on_loop([this, to, bytes = std::move(bytes)]() mutable {
     Connection* c = established_conn(to);
     if (c == nullptr) {
       // No link: the frame is dropped (control traffic is fire-and-forget
@@ -174,7 +174,7 @@ void TcpNode::send_control(NodeId to, std::vector<std::uint8_t> bytes) {
 }
 
 void TcpNode::forget_peer(NodeId peer) {
-  loop_.post([this, peer] {
+  on_loop([this, peer] {
     const auto it = peers_.find(peer);
     if (it == peers_.end()) return;
     // Leave the book first: close_conn consults it to decide whether to
@@ -212,6 +212,7 @@ void TcpNode::on_listen_ready() {
     set_nodelay(fd);
     auto conn = std::make_unique<Connection>();
     conn->fd = fd;
+    conn->serial = ++conn_serial_;
     Connection* raw = conn.get();
     conns_.emplace(fd, std::move(conn));
     established(*raw, /*outbound=*/false);
@@ -256,6 +257,7 @@ void TcpNode::start_dial(NodeId peer) {
   }
   auto conn = std::make_unique<Connection>();
   conn->fd = fd;
+  conn->serial = ++conn_serial_;
   conn->peer = peer;
   conn->connecting = true;
   conn->last_recv = conn->last_send = loop_.now();
@@ -384,7 +386,7 @@ bool TcpNode::send(NodeId to, Message m) {
     ++pending;
   }
   m.from = self_;
-  loop_.post([this, to, msg = std::move(m)] {
+  on_loop([this, to, msg = std::move(m)] {
     // Every accepted send joins the peer's window first; it leaves only on
     // a cumulative ack. Delivery across connection churn (including RST,
     // which destroys kernel-buffered data on both ends) then follows from
@@ -414,11 +416,9 @@ void TcpNode::request_flush(Connection& c) {
     flush(c);
     return;
   }
-  // Defer one loop turn so every frame queued in this drain batch — all
-  // sends posted since the last poll, including a whole read burst's
-  // worth of engine replies — leaves in one vectored write. Posted tasks
-  // drain before due timers fire, so the deferral adds no poll round
-  // trip, only tail-of-batch ordering.
+  // Defer to a zero-delay timer so every frame queued in this loop pass —
+  // a whole read burst's worth of engine replies sent inline, plus the
+  // sends posted from other threads — leaves in one vectored write.
   if (c.flush_scheduled) return;
   c.flush_scheduled = true;
   const int fd = c.fd;
@@ -556,10 +556,7 @@ void TcpNode::flush(Connection& c) {
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       // Kernel buffer full: wait for writability.
-      const int fd = c.fd;
-      loop_.watch(fd, POLLIN | POLLOUT, [this, fd](std::uint32_t revents) {
-        on_conn_event(fd, revents);
-      });
+      watch_conn(c, /*want_write=*/true);
       return;
     }
     if (n < 0 && errno == EINTR) continue;
@@ -568,8 +565,14 @@ void TcpNode::flush(Connection& c) {
   }
   // Outbox drained: stop watching POLLOUT.
   c.front_pos = 0;
+  watch_conn(c, /*want_write=*/false);
+}
+
+void TcpNode::watch_conn(Connection& c, bool want_write) {
+  if (c.watching_write == want_write) return;
+  c.watching_write = want_write;
   const int fd = c.fd;
-  loop_.watch(fd, POLLIN,
+  loop_.watch(fd, want_write ? POLLIN | POLLOUT : POLLIN,
               [this, fd](std::uint32_t revents) { on_conn_event(fd, revents); });
 }
 
@@ -582,6 +585,13 @@ void TcpNode::on_conn_event(int fd, std::uint32_t revents) {
     return;
   }
 
+  // Handlers send inline, and a send may close this connection (a failed
+  // write) and then dial, which can reuse its fd: compare serials too.
+  const std::uint64_t serial = c.serial;
+  const auto gone = [&] {
+    const auto cit = conns_.find(fd);
+    return cit == conns_.end() || cit->second->serial != serial;
+  };
   const bool hangup = (revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
   bool dead = false;
   if ((revents & POLLIN) != 0 || hangup) {
@@ -589,7 +599,9 @@ void TcpNode::on_conn_event(int fd, std::uint32_t revents) {
     // ack: a peer resending a multi-megabyte window would otherwise keep
     // this loop from ever reaching EAGAIN, so no ack or heartbeat would
     // leave, the peer would reap the link as idle and resend the window
-    // forever. Poll is level-triggered; the next pass reads the rest. A
+    // forever. A read shorter than the buffer drained the socket, so stop
+    // there rather than pay a recv() that returns EAGAIN. Poll is
+    // level-triggered; the next pass reads whatever arrives later. A
     // hangup still reads to EOF — the connection is finished either way.
     std::uint8_t buf[65536];
     for (int reads = 0; hangup || reads < kMaxReadsPerEvent; ++reads) {
@@ -598,6 +610,7 @@ void TcpNode::on_conn_event(int fd, std::uint32_t revents) {
         stats_.bytes_in.fetch_add(static_cast<std::uint64_t>(n), kRelax);
         c.last_recv = loop_.now();
         c.decoder.feed(buf, static_cast<std::size_t>(n));
+        if (!hangup && static_cast<std::size_t>(n) < sizeof buf) break;
         continue;
       }
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
@@ -611,7 +624,7 @@ void TcpNode::on_conn_event(int fd, std::uint32_t revents) {
         handle_frame(c, f);
         // The handler (or a hello-triggered flush) may have closed this
         // very connection; never touch `c` again once it is gone.
-        if (conns_.find(fd) == conns_.end()) return;
+        if (gone()) return;
       }
     } catch (const DecodeError& e) {
       // Malformed stream: contained to this connection. Drop the link and
@@ -634,14 +647,14 @@ void TcpNode::on_conn_event(int fd, std::uint32_t revents) {
           cancel_ack_timer(c);
           stats_.acks_piggybacked.fetch_add(1, kRelax);
           flush(c);
-          if (conns_.find(fd) == conns_.end()) return;
+          if (gone()) return;
         } else {
           arm_ack_timer(c);
         }
       } else {
         queue_standalone_ack(c);
         flush(c);
-        if (conns_.find(fd) == conns_.end()) return;
+        if (gone()) return;
       }
     }
   }
@@ -800,7 +813,7 @@ void TcpNode::close_conn(int fd) {
 }
 
 void TcpNode::close_peer_connection(NodeId peer) {
-  loop_.post([this, peer] {
+  on_loop([this, peer] {
     const auto it = peers_.find(peer);
     if (it != peers_.end() && it->second.fd >= 0) close_conn(it->second.fd);
   });
@@ -869,7 +882,10 @@ void TcpNode::check_suspects(TimePoint now) {
     TimePoint& heard = peers_[c->peer].last_heard;
     heard = std::max(heard, c->last_recv);
   }
-  // Only peers in the book are watched; one dropped from it is not.
+  // Only peers in the book are watched; one dropped from it is not. The
+  // callback runs after the walk: it may forget a peer, which erases its
+  // record, and with it the walk's iterator.
+  std::vector<std::pair<NodeId, bool>> flips;
   for (auto& [id, p] : peers_) {
     if (!p.address) continue;
     const bool silent = now - p.last_heard >= cfg_.suspect_timeout;
@@ -881,16 +897,18 @@ void TcpNode::check_suspects(TimePoint now) {
                                << " suspected after "
                                << (now - p.last_heard) / 1000
                                << " ms of silence");
-      if (on_suspect_) on_suspect_(id, true);
+      flips.emplace_back(id, true);
     } else if (!silent && p.suspected) {
       p.suspected = false;
       suspected_count_.fetch_sub(1, kRelax);
       stats_.suspicions_cleared.fetch_add(1, kRelax);
       HLOCK_LOG(kInfo, "node " << self_ << ": peer " << id
                                << " heard from again; suspicion cleared");
-      if (on_suspect_) on_suspect_(id, false);
+      flips.emplace_back(id, false);
     }
   }
+  for (const auto& [id, suspected] : flips)
+    if (on_suspect_) on_suspect_(id, suspected);
 }
 
 TcpStats TcpNode::stats() const {

@@ -4,8 +4,11 @@
 // InProcessCluster), a listening socket, and one connection per peer.
 // Peers greet with a one-frame control hello carrying their NodeId and
 // boot epoch, so either side may dial and a restarted peer is detected.
-// The Transport facade is thread-safe: send() posts onto the loop thread,
-// which owns all sockets and the engine.
+// The Transport facade is thread-safe. The loop thread owns all sockets and
+// the engine: send(), send_control(), forget_peer() and
+// close_peer_connection() run at once when called on it (an engine
+// replying from its handler, a view commit) and post onto it from any
+// other thread. Either way a caller's calls take effect in program order.
 //
 // Fault tolerance (all on the loop thread, no extra locking):
 //  - dial() is non-blocking; connect() completion/failure is observed via
@@ -34,6 +37,11 @@
 //    batching up to max_batch_bytes per syscall, partial writes carried
 //    over. flush() keeps writing until the outbox drains or the kernel
 //    says EAGAIN, so a short write never costs an extra poll round trip.
+//  - A send on the loop thread queues its frame at once; the flush waits
+//    for a zero-delay timer, so every frame queued in one loop pass
+//    leaves together. Loop-thread work never goes through the wake pipe.
+//  - One readiness event costs one recv() unless the 64 KiB buffer fills:
+//    a short read means the socket is drained, and poll is level-triggered.
 //  - Under bidirectional load, cumulative acks ride inside queued data
 //    frames (piggybacking) instead of spending a standalone kAck frame;
 //    a small timer (ack_piggyback_window) bounds how long an ack may wait
@@ -238,9 +246,10 @@ class TcpNode {
   /// has stopped, approximate while it runs.
   [[nodiscard]] TcpStats stats() const;
 
-  /// Fault-injection/admin hook: asynchronously close the connection to
-  /// `peer` (if any). Unacked frames are retransmitted on the next
-  /// connection exactly as if the link had died.
+  /// Fault-injection/admin hook: close the connection to `peer` (if any),
+  /// at once on the loop thread, else from a posted task. Unacked frames
+  /// are retransmitted on the next connection exactly as if the link had
+  /// died.
   void close_peer_connection(NodeId peer);
 
  private:
@@ -263,6 +272,7 @@ class TcpNode {
 
   struct Connection {
     int fd{-1};
+    std::uint64_t serial{0};  ///< unique per node; tells a reused fd apart
     NodeId peer{};           ///< invalid until hello received (inbound)
     bool connecting{false};  ///< non-blocking connect() still in flight
     bool greeted{false};     ///< peer's hello received on this connection
@@ -274,6 +284,7 @@ class TcpNode {
     std::size_t front_pos{0};
     std::size_t outbox_bytes{0};  ///< total unsent bytes across frames
     bool flush_scheduled{false};  ///< a coalescing flush is queued
+    bool watching_write{false};   ///< the loop watch includes POLLOUT
     bool ack_timer_pending{false};  ///< piggyback fallback timer armed
     std::uint64_t ack_timer_id{0};
     TimePoint last_recv{0};  ///< loop().now() of last inbound byte
@@ -320,10 +331,21 @@ class TcpNode {
     bool suspected{false};
   };
 
+  /// Run `fn` now when called on the loop thread, else post it there.
+  template <typename Fn>
+  void on_loop(Fn fn) {
+    if (loop_.on_loop_thread()) {
+      fn();
+    } else {
+      loop_.post(std::move(fn));
+    }
+  }
+
   void on_listen_ready();
   void on_conn_event(int fd, std::uint32_t revents);
   void on_connect_ready(int fd, std::uint32_t revents);
   void flush(Connection& c);
+  void watch_conn(Connection& c, bool want_write);
   void close_conn(int fd);
   Connection* established_conn(NodeId peer);
   void start_dial(NodeId peer);
@@ -357,6 +379,7 @@ class TcpNode {
   /// inbound hello may claim any NodeId, and must not size the table.
   std::map<NodeId, Peer> peers_;
   std::map<int, std::unique_ptr<Connection>> conns_;  ///< by fd
+  std::uint64_t conn_serial_{0};  ///< last Connection::serial handed out
   /// Total frames across all send windows (loop thread writes, any thread
   /// reads via unacked()).
   std::atomic<std::size_t> unacked_frames_{0};

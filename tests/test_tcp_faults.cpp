@@ -296,6 +296,63 @@ TEST(TcpFaults, ShutdownWrIsReapedNotLeaked) {
   t.join();
 }
 
+// --- one recv per readable event: bursts and send-then-close ------------
+
+/// A hello plus `count` data frames numbered 1..count, as one byte stream.
+std::vector<std::uint8_t> hello_and_frames(NodeId from, std::uint32_t count) {
+  std::vector<std::uint8_t> bytes = hello_frame(from, /*epoch=*/1);
+  for (std::uint32_t i = 1; i <= count; ++i) {
+    const auto f = frame(sample_message(i), i);
+    bytes.insert(bytes.end(), f.begin(), f.end());
+  }
+  return bytes;
+}
+
+TEST(TcpFaults, BurstLargerThanOneRecvIsFullyDelivered) {
+  // Several 64 KiB recv buffers' worth in one write: the node stops after
+  // a short read and must pick up the rest on later readiness events.
+  constexpr std::uint32_t kFrames = 6000;
+  const auto bytes = hello_and_frames(NodeId{6}, kFrames);
+  ASSERT_GT(bytes.size(), 3u * 65536u);
+  DeliveryLog log;
+  TcpNode n(NodeId{0}, 0, fast_cfg());
+  n.set_handler(log.handler());
+  std::thread t([&] { n.loop().run(); });
+
+  RawClient peer(n.listen_port());
+  peer.send_bytes(bytes);
+  EXPECT_TRUE(spin_until([&] { return log.size() == kFrames; }))
+      << "delivered " << log.size() << " of " << kFrames;
+  EXPECT_TRUE(log.exactly_once(kFrames));
+  EXPECT_EQ(n.stats().decode_errors, 0u);
+
+  n.loop().stop();
+  t.join();
+}
+
+TEST(TcpFaults, PeerThatSendsThenClosesIsFullyDelivered) {
+  // Data and FIN arrive together: every frame is still delivered before
+  // the connection is closed, whether it fits one recv or needs several.
+  for (const std::uint32_t frames : {3u, 3000u}) {
+    DeliveryLog log;
+    TcpNode n(NodeId{0}, 0, fast_cfg());
+    n.set_handler(log.handler());
+    std::thread t([&] { n.loop().run(); });
+
+    RawClient peer(n.listen_port());
+    peer.send_bytes(hello_and_frames(NodeId{8}, frames));
+    peer.shutdown_write();
+    EXPECT_TRUE(spin_until([&] { return log.size() == frames; }))
+        << "delivered " << log.size() << " of " << frames;
+    EXPECT_TRUE(log.exactly_once(frames));
+    EXPECT_TRUE(spin_until([&] { return n.connected_peers() == 0; }))
+        << "the FIN must still close the connection";
+
+    n.loop().stop();
+    t.join();
+  }
+}
+
 // --- half-open peers (silent, no FIN) are detected by the idle timeout --
 
 TEST(TcpFaults, HalfOpenPeerIsReapedByIdleTimeout) {

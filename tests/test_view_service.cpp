@@ -206,6 +206,33 @@ TEST(FailureDetector, ForgetPeerDropsWindowAndStopsDialing) {
   ta.join();
 }
 
+TEST(FailureDetector, LoopThreadForgetThenSendKeepsProgramOrder) {
+  // On the loop thread both calls run at once; from elsewhere they are
+  // posted in order. Either way the forget erases the old window and the
+  // send opens a fresh one: one frame stays unacked, the new one.
+  TcpNode a(NodeId{0}, 0, detect_cfg());
+  a.set_peers({{NodeId{1}, PeerAddress{"127.0.0.1", 1}}});  // refused
+  std::thread ta([&] { a.loop().run(); });
+  a.send(NodeId{1}, sample_message(1));
+  a.send(NodeId{1}, sample_message(2));
+  ASSERT_TRUE(spin_until([&] { return a.unacked() == 2; }));
+
+  std::atomic<bool> done{false};
+  std::size_t after_forget = 99;
+  a.loop().post([&] {
+    a.forget_peer(NodeId{1});
+    after_forget = a.unacked();
+    a.send(NodeId{1}, sample_message(3));
+    done = true;
+  });
+  ASSERT_TRUE(spin_until([&] { return done.load(); }));
+  EXPECT_EQ(after_forget, 0u);
+  EXPECT_EQ(a.unacked(), 1u);
+
+  a.loop().stop();
+  ta.join();
+}
+
 TEST(FailureDetector, PeerDroppedFromBookIsNotSuspected) {
   TcpNode a(NodeId{0}, 0, detect_cfg());
   std::mutex mu;
@@ -382,6 +409,26 @@ TEST(ViewService, SuccessiveKillsCommitIncreasingViews) {
   // Sole write path after the commits: the dead peers' windows were
   // forgotten, so nothing is parked forever.
   EXPECT_TRUE(spin_until([&] { return mesh.nodes[0]->unacked() == 0; }));
+}
+
+TEST(ViewService, SoleSurvivorCommitsFromTheDetectorCallback) {
+  // With one peer left to die, the survivor decides the view inside the
+  // failure detector's callback and forgets the dead peer there and then,
+  // while the detector is still in its walk of the peer table.
+  Mesh mesh(2);
+  for (std::uint32_t i = 0; i < 2; ++i) mesh.watch(i);
+  ASSERT_TRUE(spin_until([&] {
+    return mesh.nodes[0]->connected_peers() == 1 &&
+           mesh.nodes[1]->connected_peers() == 1;
+  }));
+  mesh.kill(1);
+  ASSERT_TRUE(spin_until([&] { return mesh.views_of[0]->view() >= 1; }));
+  const auto c0 = mesh.commits(0);
+  ASSERT_FALSE(c0.empty());
+  EXPECT_EQ(c0.back().survivors, (std::set<NodeId>{NodeId{0}}));
+  EXPECT_EQ(c0.back().root, NodeId{0});
+  EXPECT_TRUE(spin_until([&] { return mesh.nodes[0]->unacked() == 0; }));
+  EXPECT_EQ(mesh.nodes[0]->suspected_peers(), 0u);
 }
 
 // --- end to end: kill the token holder, lock again -----------------------
