@@ -193,14 +193,16 @@ int sensitivity(const Ctx& c, const Results& r) {
 }
 
 // ---------------------------------------------------------------------
-// Substrate robustness: the protocol over a lossy datagram network with
-// the retransmission sublayer (sim::ReliableTransport), sweeping the loss
-// rate. Reports total wire traffic (including retransmissions and acks),
-// drop counts and the latency penalty.
+// Substrate robustness: the protocol over a network whose connections
+// reset, sweeping the loss rate — each send resets its node pair's
+// connection with that probability. Delivery runs on the live transport's
+// layer (PeerLink, bound to the simulator by sim::LinkLayer): windows are
+// resent on reconnect, duplicates dropped and acked. Reports total wire
+// traffic (including resends and acks), drop counts and the latency
+// penalty.
 //
-// The paper's testbed ran over TCP (loss handled by the kernel); this
-// study quantifies what that reliability costs when provided in the
-// middleware itself.
+// The paper's testbed ran over TCP; this study quantifies what surviving
+// connection loss costs the middleware's own delivery layer.
 
 namespace {
 constexpr double kLossRates[] = {0.0, 0.02, 0.05, 0.10, 0.20};
@@ -217,13 +219,13 @@ std::vector<SweepPoint> loss_points(const Ctx& c) {
 
 int loss_resilience(const Ctx& c, const Results& r) {
   std::cout << "Loss resilience: " << c.nodes
-            << " nodes, paper workload, reliability sublayer armed\n\n";
+            << " nodes, paper workload, each drop resets a connection\n\n";
   TablePrinter table({"loss %", "wire msgs", "dropped", "acks",
                       "protocol msgs/req", "latency factor"});
   for (std::size_t i = 0; i < r.size(); ++i) {
     const ExperimentResult& x = r[i];
     const auto acks = x.messages_by_kind.get("ack");
-    // Protocol traffic excludes the sublayer's acks.
+    // Protocol traffic excludes the delivery layer's acks.
     const double proto_per_req = static_cast<double>(x.messages - acks) /
                                  static_cast<double>(x.lock_requests);
     table.row({num(kLossRates[i] * 100, 0), std::to_string(x.messages),
@@ -232,7 +234,7 @@ int loss_resilience(const Ctx& c, const Results& r) {
   }
   table.print(std::cout);
   std::cout << "\nexpected: protocol msgs/request degrades gracefully "
-               "(retransmissions); latency grows with the loss rate but "
+               "(window resends); latency grows with the loss rate but "
                "every run completes safely\n";
   return 0;
 }

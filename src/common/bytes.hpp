@@ -10,6 +10,13 @@
 
 namespace hlock {
 
+/// Store `v` little-endian in the sizeof(T) bytes at `p`.
+template <typename T>
+void store_le(std::uint8_t* p, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i)
+    p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
 /// Append-only byte sink.
 class ByteWriter {
  public:
@@ -18,14 +25,21 @@ class ByteWriter {
   void reserve(std::size_t n) { buf_.reserve(n); }
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
+  void u16(std::uint16_t v) { store_le(extend(2), v); }
+  void u32(std::uint32_t v) { store_le(extend(4), v); }
+  void u64(std::uint64_t v) { store_le(extend(8), v); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void str(const std::string& s);
 
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
+
+  /// Append `n` bytes for the caller to fill in place: a bulk encoder
+  /// (a shipped queue of thousands of entries) grows the buffer once.
+  std::uint8_t* extend(std::size_t n) {
+    buf_.resize(buf_.size() + n);
+    return buf_.data() + buf_.size() - n;
+  }
 
  private:
   std::vector<std::uint8_t> buf_;

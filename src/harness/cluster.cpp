@@ -64,10 +64,6 @@ ClusterBase::ClusterBase(const ClusterConfig& config)
         config.spec, static_cast<std::uint32_t>(i),
         static_cast<std::uint32_t>(config.nodes), master.split()));
     transports_.push_back(std::make_unique<sim::SimTransport>(*net_, id));
-    if (config.loss_rate > 0.0) {
-      reliable_.push_back(std::make_unique<sim::ReliableTransport>(
-          id, *transports_.back(), exec_));
-    }
   }
   remaining_.assign(config.nodes, config.spec.ops_per_node);
 }
@@ -77,24 +73,6 @@ NodeId ClusterBase::home_of(LockId lock) const {
     throw std::out_of_range("lock outside the cluster's layout");
   if (lock == layout_.table_lock()) return NodeId{0};
   return NodeId{(lock.value - 1) / config_.spec.entries_per_node};
-}
-
-Transport& ClusterBase::transport_for(std::size_t i) {
-  if (!reliable_.empty()) return *reliable_[i];
-  return *transports_[i];
-}
-
-void ClusterBase::register_inbound(
-    std::size_t i, std::function<void(const Message&)> handler) {
-  const NodeId id{static_cast<std::uint32_t>(i)};
-  if (reliable_.empty()) {
-    net_->register_node(id, std::move(handler));
-    return;
-  }
-  reliable_[i]->set_deliver(std::move(handler));
-  sim::ReliableTransport* layer = reliable_[i].get();
-  net_->register_node(id,
-                      [layer](const Message& m) { layer->on_receive(m); });
 }
 
 void ClusterBase::run() {
@@ -168,14 +146,14 @@ HlsCluster::HlsCluster(const ClusterConfig& config)
   nodes_.reserve(config.nodes);
   for (std::size_t i = 0; i < config.nodes; ++i) {
     const NodeId id{static_cast<std::uint32_t>(i)};
-    auto node = std::make_unique<core::HlsNode>(id, transport_for(i),
+    auto node = std::make_unique<core::HlsNode>(id, *transports_[i],
                                                 config.engine_opts);
     node->set_cluster_map(cluster_map_.get());
     // Engines materialize on first touch: at n = 256 most (node, entry)
     // pairs never see a message.
     node->set_lazy_holder([this](LockId lock) { return home_of(lock); });
-    register_inbound(i,
-                     [n = node.get()](const Message& m) { n->handle(m); });
+    net_->register_node(id,
+                        [n = node.get()](const Message& m) { n->handle(m); });
     nodes_.push_back(std::move(node));
   }
   for (std::size_t i = 0; i < config.nodes; ++i) {
@@ -194,15 +172,15 @@ NaimiCluster::NaimiCluster(const ClusterConfig& config, bool pure)
   nodes_.reserve(config.nodes);
   for (std::size_t i = 0; i < config.nodes; ++i) {
     const NodeId id{static_cast<std::uint32_t>(i)};
-    auto node = std::make_unique<naimi::NaimiNode>(id, transport_for(i));
+    auto node = std::make_unique<naimi::NaimiNode>(id, *transports_[i]);
     if (pure) {
       node->add_lock(LockId{0}, NodeId{0});
     } else {
       for (const LockId lock : layout_.entry_locks_in_order())
         node->add_lock(lock, home_of(lock));
     }
-    register_inbound(i,
-                     [n = node.get()](const Message& m) { n->handle(m); });
+    net_->register_node(id,
+                        [n = node.get()](const Message& m) { n->handle(m); });
     nodes_.push_back(std::move(node));
   }
   lockmgr::NaimiSessionMux::Planner planner;

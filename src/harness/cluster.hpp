@@ -17,7 +17,6 @@
 #include "lockmgr/resource.hpp"
 #include "lockmgr/session_mux.hpp"
 #include "naimi/naimi_node.hpp"
-#include "sim/reliable.hpp"
 #include "sim/simnet.hpp"
 #include "sim/simulator.hpp"
 #include "workload/generator.hpp"
@@ -33,8 +32,9 @@ struct ClusterConfig {
   workload::WorkloadSpec spec{};
   core::EngineOptions engine_opts{};  ///< ignored by the Naimi clusters
   LatencyKind latency = LatencyKind::kUniform;
-  /// > 0 switches the network to lossy-datagram mode and interposes the
-  /// sim::ReliableTransport sublayer on every node.
+  /// > 0 switches the network to the TCP failure model: each send resets
+  /// its node pair's connection with this probability, and every node
+  /// runs the live transport's delivery layer (SimNetwork::set_lossy).
   double loss_rate{0.0};
 
   /// Cluster topology. clusters > 1 switches the network to the
@@ -91,16 +91,7 @@ class ClusterBase {
   SimExecutor exec_;
   lockmgr::ResourceLayout layout_;
   std::vector<std::unique_ptr<sim::SimTransport>> transports_;
-  /// Present only when config.loss_rate > 0 (one per node).
-  std::vector<std::unique_ptr<sim::ReliableTransport>> reliable_;
   std::vector<std::unique_ptr<workload::OpGenerator>> generators_;
-
-  /// The transport node `i`'s engines should send through, and the
-  /// registration of its inbound path (wraps the reliability sublayer when
-  /// the network is lossy).
-  Transport& transport_for(std::size_t i);
-  void register_inbound(std::size_t i,
-                        std::function<void(const Message&)> handler);
 
  private:
   void kick_node(std::size_t i);

@@ -21,13 +21,14 @@ const char* to_string(MsgKind k) {
 
 namespace {
 
-void put_queued(ByteWriter& w, const QueuedRequest& q) {
-  w.u32(q.requester.value);
-  w.u8(static_cast<std::uint8_t>(q.mode));
-  w.u64(q.stamp.counter);
-  w.u32(q.stamp.node.value);
-  w.u8(q.upgrade ? 1 : 0);
-  w.u8(q.priority);
+/// Writes the kQueuedRequestBytes at `p`.
+void put_queued(std::uint8_t* p, const QueuedRequest& q) {
+  store_le(p, q.requester.value);
+  p[4] = static_cast<std::uint8_t>(q.mode);
+  store_le(p + 5, q.stamp.counter);
+  store_le(p + 13, q.stamp.node.value);
+  p[17] = q.upgrade ? 1 : 0;
+  p[18] = q.priority;
 }
 
 QueuedRequest get_queued(ByteReader& r) {
@@ -51,12 +52,16 @@ void encode_into(ByteWriter& w, const Message& m) {
   w.u8(static_cast<std::uint8_t>(m.kind));
   w.u32(m.lock.value);
   w.u32(m.from.value);
-  put_queued(w, m.req);
+  put_queued(w.extend(kQueuedRequestBytes), m.req);
   w.u8(static_cast<std::uint8_t>(m.mode));
   w.u8(m.frozen.raw());
   w.u8(static_cast<std::uint8_t>(m.sender_owned));
   w.u32(static_cast<std::uint32_t>(m.queue.size()));
-  for (const auto& q : m.queue) put_queued(w, q);
+  std::uint8_t* p = w.extend(kQueuedRequestBytes * m.queue.size());
+  for (const auto& q : m.queue) {
+    put_queued(p, q);
+    p += kQueuedRequestBytes;
+  }
   w.u64(m.grant_seq);
   w.u64(m.rel_seq);
   w.u32(m.view);

@@ -28,8 +28,9 @@ enum class MsgKind : std::uint8_t {
   // --- Naimi/Trehel/Arnold baseline ---
   kNaimiRequest = 5,
   kNaimiToken = 6,
-  // --- reliability sublayer (sim::ReliableTransport); never reaches the
-  // protocol engines ---
+  // --- the simulator's delivery layer (sim::LinkLayer running PeerLink):
+  // cumulative ack in rel_seq; never reaches the protocol engines. TCP
+  // carries acks in its framing instead ---
   kAck = 7,
   // --- dynamic membership (HlsEngine::leave) ---
   kReparent = 8,  ///< leaver -> child: re-attach to req.requester
@@ -89,8 +90,9 @@ struct Message {
   /// kToken: the old root's local queue, shipped with the token.
   std::vector<QueuedRequest> queue{};
 
-  /// Reliability-sublayer sequence number (sim::ReliableTransport):
-  /// 0 = unsequenced; kAck messages acknowledge this sequence number.
+  /// PeerLink sequence number on the simulator's lossy network
+  /// (sim::LinkLayer): the data message's per-link seq, or on kAck the
+  /// cumulative ack. Always 0 over TCP, whose frames carry both.
   std::uint64_t rel_seq{0};
 
   /// Recovery view (epoch): bumped by HlsEngine::begin_recovery after a

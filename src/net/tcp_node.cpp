@@ -17,6 +17,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
+#include <utility>
 
 #include "common/logging.hpp"
 
@@ -78,10 +79,6 @@ void assign_on_loop(EventLoop& loop, Fn& slot, Fn fn) {
     return;
   }
   loop.post([&slot, fn = std::move(fn)]() mutable { slot = std::move(fn); });
-}
-
-void store_le64(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
 }  // namespace
@@ -186,7 +183,7 @@ void TcpNode::forget_peer(NodeId peer) {
       if (c->peer == peer) doomed.push_back(fd);
     for (const int fd : doomed) close_conn(fd);
     if (p.dial.timer_pending) loop_.cancel_timer(p.dial.timer_id);
-    unacked_frames_.fetch_sub(p.window.size(), kRelax);
+    unacked_frames_.fetch_sub(p.link.unacked(), kRelax);
     if (p.suspected) suspected_count_.fetch_sub(1, kRelax);
     peers_.erase(it);
     if (cfg_.send_window_limit != 0) {
@@ -362,13 +359,32 @@ void TcpNode::register_peer(Peer& p, int fd) {
 }
 
 void TcpNode::resend_window(Connection& c, Peer& p) {
-  if (p.window.empty()) return;
-  for (Unacked& u : p.window) {
-    if (u.sent_once) stats_.requeued_frames.fetch_add(1, kRelax);
-    u.sent_once = true;
-    queue_frame(c, u.bytes);  // copies; the window entry must stay intact
+  stats_.requeued_frames.fetch_add(p.link.connection_up(), kRelax);
+  if (p.link.window().empty()) return;
+  c.resend_next = p.link.window().front().seq;
+  flush(c);  // queues the resend a chunk at a time
+}
+
+void TcpNode::continue_resend(Connection& c) {
+  const std::uint64_t from = std::exchange(c.resend_next, 0);
+  const PeerLink* link = link_of(c);
+  if (link == nullptr || link->window().empty()) return;
+  const auto& w = link->window();
+  // Window seqs are consecutive, so `from` indexes it directly (entries
+  // acked since the resend began are simply gone).
+  const std::uint64_t skip = from > w.front().seq ? from - w.front().seq : 0;
+  auto it = w.begin() + static_cast<std::ptrdiff_t>(
+                            std::min<std::uint64_t>(skip, w.size()));
+  // Encoded fresh with ack 0: on an outbound link the resend leaves before
+  // the peer's hello, which may announce a restart, and an ack owed to the
+  // old incarnation would trim the new one's window.
+  for (; it != w.end(); ++it) {
+    if (c.outbox_bytes >= kResendChunkBytes) {
+      c.resend_next = it->seq;
+      return;
+    }
+    queue_frame(c, frame(it->msg, it->seq));
   }
-  flush(c);
 }
 
 bool TcpNode::send(NodeId to, Message m) {
@@ -386,26 +402,19 @@ bool TcpNode::send(NodeId to, Message m) {
     ++pending;
   }
   m.from = self_;
-  on_loop([this, to, msg = std::move(m)] {
-    // Every accepted send joins the peer's window first; it leaves only on
-    // a cumulative ack. Delivery across connection churn (including RST,
-    // which destroys kernel-buffered data on both ends) then follows from
-    // retransmit-on-reconnect plus receive-side dedup.
+  on_loop([this, to, msg = std::move(m)]() mutable {
     Peer& p = peers_[to];
-    Unacked u;
-    u.seq = p.next_seq++;
-    u.bytes = frame(msg, u.seq);
-    p.window.push_back(std::move(u));
+    Connection* c = established_conn(to);
+    const bool direct = c != nullptr && c->resend_next == 0;
+    const PeerLink::Pending& e = p.link.accept(std::move(msg), direct);
     ++unacked_frames_;
     bump_max(stats_.pending_high_water, unacked_frames_);
-    Connection* c = established_conn(to);
-    if (c != nullptr) {
-      p.window.back().sent_once = true;
-      queue_frame(*c, p.window.back().bytes);
+    if (direct) {
+      queue_data(*c, p.link, e);
       request_flush(*c);
-      return;
+    } else if (c == nullptr) {
+      maybe_dial(to);  // no-op unless this side owns the dial
     }
-    maybe_dial(to);  // no-op unless this side owns the dial
   });
   return true;
 }
@@ -438,47 +447,49 @@ TcpNode::Connection* TcpNode::established_conn(NodeId peer) {
   return cit->second.get();
 }
 
+void TcpNode::queue_data(Connection& c, PeerLink& link,
+                         const PeerLink::Pending& entry) {
+  std::uint64_t ack = 0;  // "no ack information"
+  if (cfg_.ack_piggyback_window > 0 && link.ack_due()) {
+    // An ack is owed to this peer and a data frame is about to join the
+    // queue: carry the cumulative ack in its ack slot instead of spending
+    // a standalone kAck frame.
+    ack = link.take_ack();
+    cancel_ack_timer(c);
+    stats_.acks_piggybacked.fetch_add(1, kRelax);
+  }
+  queue_frame(c, frame(entry.msg, entry.seq, ack));
+}
+
+PeerLink* TcpNode::link_of(const Connection& c) {
+  if (!c.peer.valid()) return nullptr;
+  const auto it = peers_.find(c.peer);
+  return it == peers_.end() ? nullptr : &it->second.link;
+}
+
 void TcpNode::queue_frame(Connection& c, std::vector<std::uint8_t> bytes,
                           bool control) {
-  if (!control && cfg_.ack_piggyback_window > 0 && c.ack_due &&
-      c.peer.valid()) {
-    // An ack is owed to this peer and a data frame is about to join the
-    // queue: stamp the cumulative ack into its v2 ack slot instead of
-    // spending a standalone kAck frame. (Only the queued copy is stamped;
-    // the send-window original keeps ack 0, which decodes as "no info".)
-    const std::uint64_t ack = peers_[c.peer].delivered_seq;
-    if (ack > 0 && bytes.size() >= kAckFieldOffset + 8) {
-      store_le64(bytes.data() + kAckFieldOffset, ack);
-      c.ack_due = false;
-      cancel_ack_timer(c);
-      stats_.acks_piggybacked.fetch_add(1, kRelax);
-    }
-  }
   c.outbox_bytes += bytes.size();
   c.frames.push_back(OutFrame{std::move(bytes), control});
   bump_max(stats_.outbox_high_water, c.outbox_bytes);
 }
 
-bool TcpNode::try_stamp_queued_ack(Connection& c) {
-  if (!c.peer.valid()) return false;
-  const std::uint64_t ack = peers_[c.peer].delivered_seq;
-  if (ack == 0) return false;
+bool TcpNode::try_stamp_queued_ack(Connection& c, PeerLink& link) {
   // Skip the front frame when part of it is already on the wire — its
   // header bytes may be sent, so stamping it would corrupt the stream.
   for (std::size_t i = (c.front_pos > 0) ? 1 : 0; i < c.frames.size(); ++i) {
     OutFrame& f = c.frames[i];
     if (f.control || f.bytes.size() < kAckFieldOffset + 8) continue;
-    store_le64(f.bytes.data() + kAckFieldOffset, ack);
+    store_le(f.bytes.data() + kAckFieldOffset, link.take_ack());
     return true;
   }
   return false;
 }
 
-void TcpNode::queue_standalone_ack(Connection& c) {
-  c.ack_due = false;
+void TcpNode::queue_standalone_ack(Connection& c, PeerLink& link) {
   cancel_ack_timer(c);
   stats_.acks_standalone.fetch_add(1, kRelax);
-  queue_frame(c, ack_frame(peers_[c.peer].delivered_seq), /*control=*/true);
+  queue_frame(c, ack_frame(link.take_ack()), /*control=*/true);
 }
 
 void TcpNode::arm_ack_timer(Connection& c) {
@@ -492,8 +503,10 @@ void TcpNode::arm_ack_timer(Connection& c) {
         if (it == conns_.end()) return;
         Connection& c2 = *it->second;
         c2.ack_timer_pending = false;
-        if (!c2.ack_due) return;  // a data frame carried it in the meantime
-        queue_standalone_ack(c2);
+        PeerLink* link = link_of(c2);
+        // A data frame may have carried the ack in the meantime.
+        if (link == nullptr || !link->ack_due()) return;
+        queue_standalone_ack(c2, *link);
         flush(c2);
       });
 }
@@ -506,7 +519,10 @@ void TcpNode::cancel_ack_timer(Connection& c) {
 
 void TcpNode::flush(Connection& c) {
   if (c.connecting) return;
-  while (!c.frames.empty()) {
+  for (;;) {
+    if (c.resend_next != 0 && c.outbox_bytes < kResendChunkBytes)
+      continue_resend(c);
+    if (c.frames.empty()) break;
     // Gather the head of the queue into one vectored write: up to
     // kMaxBatchFrames iovecs or max_batch_bytes, whichever comes first
     // (max_batch_bytes == 0 pins every batch to a single frame — the
@@ -636,14 +652,14 @@ void TcpNode::on_conn_event(int fd, std::uint32_t revents) {
       close_conn(fd);
       return;
     }
-    if (c.ack_due && !dead && !hangup) {
+    PeerLink* link = link_of(c);
+    if (link != nullptr && link->ack_due() && !dead && !hangup) {
       // One cumulative ack per read burst, not per frame. With
       // piggybacking on, prefer riding a queued-unsent data frame; failing
       // that, give a data frame ack_piggyback_window to show up before
       // falling back to a standalone kAck.
       if (cfg_.ack_piggyback_window > 0) {
-        if (try_stamp_queued_ack(c)) {
-          c.ack_due = false;
+        if (try_stamp_queued_ack(c, *link)) {
           cancel_ack_timer(c);
           stats_.acks_piggybacked.fetch_add(1, kRelax);
           flush(c);
@@ -652,7 +668,7 @@ void TcpNode::on_conn_event(int fd, std::uint32_t revents) {
           arm_ack_timer(c);
         }
       } else {
-        queue_standalone_ack(c);
+        queue_standalone_ack(c, *link);
         flush(c);
         if (gone()) return;
       }
@@ -669,13 +685,10 @@ void TcpNode::on_conn_event(int fd, std::uint32_t revents) {
 }
 
 void TcpNode::process_ack(NodeId id, Peer& p, std::uint64_t ack_seq) {
-  std::size_t trimmed = 0;
-  while (!p.window.empty() && p.window.front().seq <= ack_seq) {
-    p.window.pop_front();
-    --unacked_frames_;
-    ++trimmed;
-  }
-  if (trimmed != 0 && cfg_.send_window_limit != 0) {
+  const std::size_t trimmed = p.link.on_ack(ack_seq);
+  if (trimmed == 0) return;
+  unacked_frames_.fetch_sub(trimmed, kRelax);
+  if (cfg_.send_window_limit != 0) {
     std::lock_guard<std::mutex> lk(window_mu_);
     auto& pending = window_pending_[id];
     pending -= std::min(pending, trimmed);
@@ -700,15 +713,14 @@ void TcpNode::handle_frame(Connection& c, const DecodedFrame& f) {
         // A hello always precedes data on its connection (TCP stream
         // order), so resetting the dedup state here is race-free: no frame
         // from the new incarnation can have been delivered yet.
-        if (p.epoch != 0 && p.epoch != f.hello_epoch) {
+        const std::uint64_t old_epoch = p.link.epoch();
+        if (p.link.on_hello(f.hello_epoch)) {
           stats_.peer_restarts.fetch_add(1, kRelax);
-          p.delivered_seq = 0;
           HLOCK_LOG(kInfo, "node " << self_ << ": peer " << c.peer
-                                   << " restarted (epoch " << p.epoch
+                                   << " restarted (epoch " << old_epoch
                                    << " -> " << f.hello_epoch
                                    << "); sequence state reset");
         }
-        p.epoch = f.hello_epoch;
         if (!c.greeted) {
           c.greeted = true;
           // Only a completed handshake proves the link works end to end:
@@ -753,26 +765,20 @@ void TcpNode::handle_frame(Connection& c, const DecodedFrame& f) {
     // standalone kAck would, before dedup/delivery of the frame itself.
     process_ack(c.peer, p, f.ack_seq);
   }
-  std::uint64_t& delivered_seq = p.delivered_seq;
-  if (f.seq <= delivered_seq) {
-    // Retransmission of something already delivered — the peer resends its
-    // whole window on reconnect, so this happens whenever the previous
-    // connection died after delivery but before our ack arrived. Re-ack
-    // (don't re-deliver) or the sender's window would never drain.
-    c.ack_due = true;
-    return;
+  const std::uint64_t before = p.link.delivered_seq();
+  switch (p.link.on_data(f.seq)) {
+    case PeerLink::Arrival::kDuplicate:
+      return;  // a resend whose first ack died with its connection
+    case PeerLink::Arrival::kGap:
+      // Only right after this node restarts, when the peer's window
+      // continues from its pre-restart numbering.
+      HLOCK_LOG(kError, "node " << self_ << ": sequence gap from peer "
+                                << c.peer << " (" << before << " -> "
+                                << f.seq << ")");
+      break;
+    case PeerLink::Arrival::kDeliver:
+      break;
   }
-  if (f.seq != delivered_seq + 1) {
-    // Gaps cannot happen with in-order windows over in-order streams —
-    // except right after this node restarts, when the peer's window
-    // continues from its pre-restart numbering; favour liveness over
-    // strictness either way.
-    HLOCK_LOG(kError, "node " << self_ << ": sequence gap from peer "
-                              << c.peer << " (" << delivered_seq << " -> "
-                              << f.seq << ")");
-  }
-  delivered_seq = f.seq;
-  c.ack_due = true;
   delivered_.fetch_add(1, kRelax);
   if (handler_) handler_(f.msg);
 }
@@ -785,8 +791,7 @@ void TcpNode::close_conn(int fd) {
   cancel_ack_timer(c);
 
   // No salvage needed: everything unacked for this peer is still in its
-  // send window and will be retransmitted wholesale on the next
-  // established connection (the receiver dedups by sequence number).
+  // link's window and is resent on the next established connection.
   Peer* p = peer.valid() ? &peers_[peer] : nullptr;
   if (p != nullptr) {
     if (!c.greeted && peer < self_) {

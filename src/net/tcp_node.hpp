@@ -16,18 +16,13 @@
 //    with capped exponential backoff (TcpConfig::reconnect_min/max).
 //  - A malformed frame (DecodeError) closes only the offending connection;
 //    the process never terminates on peer garbage.
-//  - Every accepted send() gets a per-peer sequence number and stays in
-//    that peer's send window until cumulatively acked. When a connection
-//    dies — FIN, RST, refused dial, idle reap — the whole unacked window
-//    is retransmitted on the next established connection and the receiver
-//    drops frames it already delivered (seq <= its cumulative counter).
-//    This survives even an abortive RST close, which destroys both the
-//    sender's untransmitted sndbuf and the receiver's unread rcvbuf —
-//    cases where "written to the kernel" is not "delivered". No accepted
-//    send() is dropped or duplicated while both processes live.
-//  - A restarted peer announces a new epoch in its hello; the receive-side
-//    dedup state for that peer is reset (peer_restarts counts it) instead
-//    of silently dropping the new incarnation's frames as duplicates.
+//  - Delivery is one PeerLink per peer (msg/peer_link.hpp), the state
+//    machine the simulator runs too: sequence numbers, a send window kept
+//    until cumulatively acked and resent on every new connection, receive
+//    dedup, and a reset when the peer's hello announces a new epoch. It
+//    survives even an RST, which destroys the sender's unsent sndbuf and
+//    the receiver's unread rcvbuf: no accepted send() is dropped or
+//    duplicated while both processes live.
 //  - A heartbeat timer pings idle connections and closes peers that have
 //    been silent past idle_timeout (half-open detection). The same
 //    deadline bounds a stuck non-blocking connect().
@@ -61,6 +56,7 @@
 
 #include "common/types.hpp"
 #include "msg/message.hpp"
+#include "msg/peer_link.hpp"
 #include "net/event_loop.hpp"
 #include "net/framing.hpp"
 
@@ -257,14 +253,14 @@ class TcpNode {
   static constexpr int kMaxBatchFrames = 64;
   /// Cap on 64 KiB recv() calls per readiness event (see on_conn_event).
   static constexpr int kMaxReadsPerEvent = 16;
+  /// A window resend is encoded into the outbox this many bytes at a time
+  /// as it drains, so a large window never stalls the loop.
+  static constexpr std::size_t kResendChunkBytes = 256 * 1024;
 
-  /// One frame in a connection outbox. Owns its bytes: data frames are
-  /// copied out of the send window once per (re)send, and the copy is
-  /// load-bearing. A cumulative ack can trim the window entry while its
-  /// bytes are still queued or half-written, and the piggyback stamp
-  /// writes only into the queued copy — a shared buffer would carry a
-  /// stale cumulative ack into a resend after the peer restarts, and that
-  /// ack would trim the new incarnation's window.
+  /// One frame in a connection outbox. Each (re)send of a data frame is
+  /// encoded fresh from the link's window, and a piggybacked ack is stamped
+  /// only into these bytes, so it never rides along into a resend — where,
+  /// after the peer restarts, it would trim the new incarnation's window.
   struct OutFrame {
     std::vector<std::uint8_t> bytes;
     bool control{false};
@@ -276,7 +272,9 @@ class TcpNode {
     NodeId peer{};           ///< invalid until hello received (inbound)
     bool connecting{false};  ///< non-blocking connect() still in flight
     bool greeted{false};     ///< peer's hello received on this connection
-    bool ack_due{false};     ///< delivered new frames; cumulative ack owed
+    /// Next window seq a resend still has to queue; 0 = none pending.
+    /// While one is pending, new sends wait in the window behind it.
+    std::uint64_t resend_next{0};
     FrameDecoder decoder;
     /// Pending output, oldest first; bytes [front_pos, front.size()) of
     /// the first frame are still unsent, later frames entirely so.
@@ -289,13 +287,6 @@ class TcpNode {
     std::uint64_t ack_timer_id{0};
     TimePoint last_recv{0};  ///< loop().now() of last inbound byte
     TimePoint last_send{0};  ///< loop().now() of last outbound byte
-  };
-
-  /// One accepted send() awaiting a cumulative ack from its peer.
-  struct Unacked {
-    std::uint64_t seq{0};
-    std::vector<std::uint8_t> bytes;  ///< full frame, ready to (re)send
-    bool sent_once{false};  ///< queued to at least one connection already
   };
 
   /// Re-dial bookkeeping for peers this node dials (peer < self_).
@@ -314,15 +305,7 @@ class TcpNode {
     std::optional<PeerAddress> address;
     int fd{-1};  ///< established connection, -1 if none
     DialState dial;
-    /// Send side: every accepted send() stays in `window` (oldest first)
-    /// until the peer acks it. Unbounded if the peer stays down — the same
-    /// deal the simulator's ReliableTransport offers.
-    std::uint64_t next_seq{1};
-    std::deque<Unacked> window;
-    /// Receive side: highest sequence number delivered (dedup; survives
-    /// connection churn, reset when the hello announces a new epoch).
-    std::uint64_t delivered_seq{0};
-    std::uint64_t epoch{0};  ///< last hello epoch; 0 until the first hello
+    PeerLink link;  ///< delivery state; the window grows while it is down
     bool ever_connected{false};  ///< greeted before: the next is a reconnect
     /// Failure detector: last time any byte was heard from the peer,
     /// seeded when it enters the book so a peer that never connects is
@@ -355,13 +338,17 @@ class TcpNode {
   void established(Connection& c, bool outbound);
   void register_peer(Peer& p, int fd);
   void resend_window(Connection& c, Peer& p);
+  void continue_resend(Connection& c);
   void queue_frame(Connection& c, std::vector<std::uint8_t> bytes,
                    bool control = false);
+  void queue_data(Connection& c, PeerLink& link,
+                  const PeerLink::Pending& entry);
+  PeerLink* link_of(const Connection& c);
   void request_flush(Connection& c);
   void handle_frame(Connection& c, const DecodedFrame& f);
   void process_ack(NodeId id, Peer& p, std::uint64_t ack_seq);
-  void queue_standalone_ack(Connection& c);
-  bool try_stamp_queued_ack(Connection& c);
+  void queue_standalone_ack(Connection& c, PeerLink& link);
+  bool try_stamp_queued_ack(Connection& c, PeerLink& link);
   void arm_ack_timer(Connection& c);
   void cancel_ack_timer(Connection& c);
   void arm_heartbeat();
@@ -380,11 +367,11 @@ class TcpNode {
   std::map<NodeId, Peer> peers_;
   std::map<int, std::unique_ptr<Connection>> conns_;  ///< by fd
   std::uint64_t conn_serial_{0};  ///< last Connection::serial handed out
-  /// Total frames across all send windows (loop thread writes, any thread
-  /// reads via unacked()).
+  /// Total entries across all peers' link windows (loop thread writes, any
+  /// thread reads via unacked()).
   std::atomic<std::size_t> unacked_frames_{0};
   /// Would-block accounting for send_window_limit: accepted-but-unacked
-  /// sends per peer. Mutex-guarded (not loop-confined like Peer::window)
+  /// sends per peer. Mutex-guarded (not loop-confined like Peer::link)
   /// because send() must check-and-reserve from the caller's thread while
   /// the ack handler trims on the loop thread. Untouched when the limit
   /// is 0.

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/links.hpp"
+
 namespace hlock::sim {
 
 SimNetwork::SimNetwork(Simulator& simulator,
@@ -12,6 +14,8 @@ SimNetwork::SimNetwork(Simulator& simulator,
     : sim_(simulator), latency_(std::move(latency)), rng_(rng) {
   if (!latency_) throw std::invalid_argument("latency model required");
 }
+
+SimNetwork::~SimNetwork() = default;
 
 void SimNetwork::register_node(NodeId node,
                                std::function<void(const Message&)> handler) {
@@ -40,7 +44,7 @@ void SimNetwork::set_lossy(double rate) {
   if (rate < 0.0 || rate >= 1.0)
     throw std::invalid_argument("loss rate must be in [0, 1)");
   loss_rate_ = rate;
-  fifo_channels_ = rate == 0.0;
+  if (!links_) links_ = std::make_unique<LinkLayer>(*this);
 }
 
 CounterMap SimNetwork::message_counts() const {
@@ -53,6 +57,14 @@ CounterMap SimNetwork::message_counts() const {
 }
 
 void SimNetwork::send(NodeId from, NodeId to, Message m) {
+  if (links_) {
+    links_->send(from, to, std::move(m));
+    return;
+  }
+  transmit(from, to, std::move(m));
+}
+
+bool SimNetwork::transmit(NodeId from, NodeId to, Message m) {
   if (to.value >= handlers_.size() || !handlers_[to.value])
     throw std::logic_error("send to unregistered node");
   if (!from.valid()) throw std::invalid_argument("invalid sender id");
@@ -72,7 +84,7 @@ void SimNetwork::send(NodeId from, NodeId to, Message m) {
   if (on_send) on_send(from, to, m, dropped);
   if (dropped) {
     ++dropped_;
-    return;
+    return false;
   }
 
   const Duration flight = latency_->sample_pair(from, to, rng_);
@@ -81,25 +93,28 @@ void SimNetwork::send(NodeId from, NodeId to, Message m) {
   assert(flight >= latency_->min_latency() &&
          "latency sample below the model's declared min_latency()");
   TimePoint arrive = sim_.now() + flight;
-  if (fifo_channels_) {
-    // Per-channel FIFO: a message may not overtake an earlier one on the
-    // same (from, to) pair. Senders need not be registered receivers
-    // (tests inject from outside ids), so grow on demand.
-    if (from.value >= stride_) grow_stride(from.value + 1);
-    TimePoint& clear_at = channel_clear_[from.value * stride_ + to.value];
-    if (arrive < clear_at) arrive = clear_at;
-    clear_at = arrive;
-  }
+  // Per-channel FIFO: a message may not overtake an earlier one on the
+  // same (from, to) pair. Senders need not be registered receivers (tests
+  // inject from outside ids), so grow on demand.
+  if (from.value >= stride_) grow_stride(from.value + 1);
+  TimePoint& clear_at = channel_clear_[from.value * stride_ + to.value];
+  if (arrive < clear_at) arrive = clear_at;
+  clear_at = arrive;
 
   m.from = from;
   sim_.schedule_deliver_at(arrive, &SimNetwork::deliver_event, this, from, to,
                            std::move(m));
+  return true;
 }
 
 void SimNetwork::deliver_event(void* ctx, NodeId from, NodeId to, Message& m) {
   auto* net = static_cast<SimNetwork*>(ctx);
   if (net->on_deliver) net->on_deliver(from, to, m);
-  net->handlers_[to.value](m);
+  if (net->links_) {
+    net->links_->receive(to, m);
+  } else {
+    net->handlers_[to.value](m);
+  }
 }
 
 }  // namespace hlock::sim

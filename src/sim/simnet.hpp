@@ -24,12 +24,15 @@
 
 namespace hlock::sim {
 
+class LinkLayer;  // sim/links.hpp
+
 /// Delivers Messages between registered node handlers through the event
 /// queue, counting every send by message kind (the Figure 7 breakdown).
 class SimNetwork {
  public:
   SimNetwork(Simulator& simulator, std::unique_ptr<LatencyModel> latency,
              Rng rng);
+  ~SimNetwork();
 
   /// Register the receive handler for `node`. Must be called once per node
   /// before any message is sent to it.
@@ -41,11 +44,14 @@ class SimNetwork {
   /// TCP semantics on the paper's testbed.
   void send(NodeId from, NodeId to, Message m);
 
-  /// Switch to lossy-datagram mode: each message is dropped independently
-  /// with probability `rate`, and per-channel FIFO ordering is no longer
-  /// enforced (deliveries reorder freely under the latency jitter). Pair
-  /// with sim::ReliableTransport on every node.
+  /// Switch to the TCP failure model: each transmission is dropped with
+  /// probability `rate`, which resets its node pair's connection, and
+  /// every node runs the live transport's delivery layer (links()) over
+  /// those connections, so each message still arrives once, in order.
+  /// Call before the first send.
   void set_lossy(double rate);
+  /// The delivery layer; null unless set_lossy was called.
+  [[nodiscard]] LinkLayer* links() { return links_.get(); }
 
   [[nodiscard]] std::uint64_t messages_dropped() const { return dropped_; }
 
@@ -93,14 +99,18 @@ class SimNetwork {
     return boundary_bytes_[1];
   }
 
-  /// Observation hook invoked on every delivery (before the handler).
+  /// Observation hook invoked on every delivery off the wire (before the
+  /// handler or the delivery layer).
   std::function<void(NodeId from, NodeId to, const Message&)> on_deliver;
-  /// Observation hook invoked on every send (after loss filtering the
-  /// message may still be dropped; `dropped` says so).
+  /// Observation hook invoked on every transmission (`dropped` says
+  /// whether lossy mode dropped it).
   std::function<void(NodeId from, NodeId to, const Message&, bool dropped)>
       on_send;
 
  private:
+  friend class LinkLayer;
+  /// Put `m` on the wire; false when lossy mode dropped it.
+  bool transmit(NodeId from, NodeId to, Message m);
   /// Simulator deliver-event trampoline (ctx is the SimNetwork).
   static void deliver_event(void* ctx, NodeId from, NodeId to, Message& m);
   /// Grow the channel-clock matrix to cover ids < n.
@@ -119,7 +129,6 @@ class SimNetwork {
   std::array<std::uint64_t, kMsgKindCount> counts_{};
   std::uint64_t sent_{0};
   double loss_rate_{0.0};
-  bool fifo_channels_{true};
   std::uint64_t dropped_{0};
   std::uint64_t bytes_{0};
   /// Boundary accounting, indexed [0]=intra-cluster, [1]=cross-cluster,
@@ -128,6 +137,7 @@ class SimNetwork {
   const ClusterMap* topology_{nullptr};
   std::array<std::uint64_t, 2> boundary_counts_{};
   std::array<std::uint64_t, 2> boundary_bytes_{};
+  std::unique_ptr<LinkLayer> links_;
 };
 
 /// Per-node Transport facade over SimNetwork.

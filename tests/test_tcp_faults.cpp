@@ -78,6 +78,10 @@ std::uint16_t reserve_port() {
 /// deliberately mis-speak) the wire protocol at a TcpNode.
 class RawClient {
  public:
+  /// Tag for wrapping a socket RawListener accepted.
+  struct Adopt {};
+  RawClient(Adopt, int fd) : fd_(fd) { EXPECT_GE(fd_, 0); }
+
   explicit RawClient(std::uint16_t port) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(fd_, 0);
@@ -117,6 +121,22 @@ class RawClient {
 
   void shutdown_write() { ::shutdown(fd_, SHUT_WR); }
 
+  /// Read until one whole frame has arrived; false on timeout or EOF.
+  bool next_frame(DecodedFrame& out, int timeout_ms = 5000) {
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(timeout_ms);
+    std::uint8_t buf[4096];
+    while (!decoder_.next_frame(out)) {
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+      pollfd p{fd_, POLLIN, 0};
+      if (::poll(&p, 1, 50) <= 0) continue;
+      const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
+      if (n <= 0) return false;
+      decoder_.feed(buf, static_cast<std::size_t>(n));
+    }
+    return true;
+  }
+
   /// Drain inbound bytes (the node's hello/pings) until FIN or timeout;
   /// true if the peer closed the connection.
   bool closed_by_peer(int timeout_ms = 3000) {
@@ -135,6 +155,41 @@ class RawClient {
 
  private:
   int fd_{-1};
+  FrameDecoder decoder_;
+};
+
+/// A listening socket standing in for a peer that dials nobody: the node
+/// under test (with the higher id) dials it.
+class RawListener {
+ public:
+  RawListener() {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd_, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+    EXPECT_EQ(::listen(fd_, 4), 0);
+    socklen_t len = sizeof addr;
+    ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+    port_ = ntohs(addr.sin_port);
+  }
+  ~RawListener() { ::close(fd_); }
+  RawListener(const RawListener&) = delete;
+  RawListener& operator=(const RawListener&) = delete;
+
+  [[nodiscard]] std::uint16_t port() const { return port_; }
+
+  /// The node's next dial, accepted; -1 if none arrives in time.
+  int accept_fd(int timeout_ms = 5000) {
+    pollfd p{fd_, POLLIN, 0};
+    if (::poll(&p, 1, timeout_ms) <= 0) return -1;
+    return ::accept(fd_, nullptr, nullptr);
+  }
+
+ private:
+  int fd_{-1};
+  std::uint16_t port_{0};
 };
 
 /// Records per-(sender, seq) delivery counts so tests can assert both "no
@@ -532,6 +587,86 @@ TEST(TcpFaults, FourNodeMeshSurvivesLateStartGarbageAndResets) {
 
   for (auto& n : nodes) n->loop().stop();
   for (auto& t : threads) t.join();
+}
+
+// --- stale piggybacked acks ---------------------------------------------
+
+// A data frame is queued with a piggybacked ack, and the connection dies
+// before the frame is written. The peer then restarts with a new epoch and
+// a fresh window. Nothing the node sends on the next connection before the
+// new hello — the frame's resend, or a new send — may carry the old
+// incarnation's ack: it would trim the new incarnation's window.
+TEST(TcpFaults, ResendAfterPeerRestartCarriesNoStaleAck) {
+  TcpConfig cfg = fast_cfg();
+  cfg.heartbeat_interval = 0;  // the hand-driven peer never pings back
+  cfg.idle_timeout = 0;
+  cfg.ack_piggyback_window = sec(30);  // an owed ack waits for a data frame
+  RawListener peer;  // plays node 0; node 1 dials it
+  DeliveryLog log;
+  TcpNode node(NodeId{1}, 0, cfg);
+  node.set_handler(log.handler());
+  node.set_peers({{NodeId{0}, {"127.0.0.1", peer.port()}}});
+  std::thread loop([&] { node.loop().run(); });
+
+  // The next data frame from the node: its sequence number, payload tag
+  // and piggybacked ack.
+  struct Data {
+    std::uint64_t seq{0}, ack{0};
+    std::uint32_t lock{0};
+  };
+  const auto next_data = [](RawClient& c) {
+    DecodedFrame f;
+    Data d;
+    while (c.next_frame(f)) {
+      if (f.control) continue;  // the node's hello
+      d = {f.seq, f.ack_seq, f.msg.lock.value};
+      break;
+    }
+    return d;
+  };
+
+  {
+    // The first incarnation delivers seqs 1-3; their ack is owed.
+    RawClient old_peer(RawClient::Adopt{}, peer.accept_fd());
+    old_peer.send_bytes(hello_frame(NodeId{0}, /*epoch=*/111));
+    for (std::uint32_t seq = 1; seq <= 3; ++seq)
+      old_peer.send_bytes(frame(sample_message(seq), seq));
+    ASSERT_TRUE(spin_until([&] { return node.delivered() == 3; }));
+    // One loop task: the send queues its frame with ack 3 stamped in, and
+    // the connection dies before the deferred flush can write it.
+    node.loop().post([&] {
+      node.send(NodeId{0}, sample_message(100));
+      node.close_peer_connection(NodeId{0});
+    });
+    EXPECT_TRUE(old_peer.closed_by_peer());
+  }
+  {
+    // The node re-dials the restarted peer and resends its window at
+    // once, before the peer's hello can say it restarted.
+    RawClient new_peer(RawClient::Adopt{}, peer.accept_fd());
+    const Data resent = next_data(new_peer);
+    EXPECT_EQ(resent.seq, 1u);
+    EXPECT_EQ(resent.lock, 100u);
+    EXPECT_EQ(resent.ack, 0u) << "the resend carried a stale ack";
+
+    // The new incarnation's hello resets dedup: its seq 1 is delivered and
+    // owed an ack. Then it drops the connection and restarts again.
+    new_peer.send_bytes(hello_frame(NodeId{0}, /*epoch=*/222));
+    new_peer.send_bytes(frame(sample_message(200), 1));
+    EXPECT_TRUE(spin_until([&] { return node.delivered() == 4; }));
+    EXPECT_EQ(node.stats().peer_restarts, 1u);
+  }
+  // A new send queued on the next connection before its hello.
+  RawClient third(RawClient::Adopt{}, peer.accept_fd());
+  EXPECT_EQ(next_data(third).ack, 0u);  // the resent window
+  node.send(NodeId{0}, sample_message(101));
+  const Data fresh = next_data(third);
+  EXPECT_EQ(fresh.seq, 2u);
+  EXPECT_EQ(fresh.lock, 101u);
+  EXPECT_EQ(fresh.ack, 0u) << "a new send carried a stale ack";
+
+  node.loop().stop();
+  loop.join();
 }
 
 // --- send-window backpressure -------------------------------------------
