@@ -12,7 +12,7 @@
 //          send window. Delivered and acked counts are therefore equal
 //          across configurations BY CONSTRUCTION, which makes the
 //          syscall and ack counters directly comparable: coalescing must
-//          show fewer writev batches per delivered frame, piggybacking
+//          show fewer write batches per delivered frame, piggybacking
 //          fewer standalone kAck frames.
 //   locks  An N-node mesh, S sessions per node, each executing K ops of
 //          the paper's workload mix closed-loop through the full
@@ -93,7 +93,7 @@ struct WireResult {
   std::uint64_t delivered{0};
   std::uint64_t unacked{0};
   double wall_s{0};
-  /// writev syscalls per delivered frame — the coalescing figure of
+  /// Batch-write syscalls per delivered frame — the coalescing figure of
   /// merit (1.0 means one syscall per frame; lower is better).
   [[nodiscard]] double batches_per_frame() const {
     return stats.frames_out == 0

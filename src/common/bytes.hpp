@@ -2,10 +2,12 @@
 // the TCP framing layer (src/net). Little-endian, length-prefixed strings.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace hlock {
@@ -17,9 +19,29 @@ void store_le(std::uint8_t* p, T v) {
     p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
+/// Load a little-endian T from the sizeof(T) bytes at `p`.
+template <typename T>
+T load_le(const std::uint8_t* p) {
+  if constexpr (std::endian::native == std::endian::little) {
+    T v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+  } else {
+    T v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+      v |= static_cast<T>(static_cast<T>(p[i]) << (8 * i));
+    return v;
+  }
+}
+
 /// Append-only byte sink.
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  /// Append after the bytes already in `buf`, reusing its capacity;
+  /// take() hands the grown buffer back.
+  explicit ByteWriter(std::vector<std::uint8_t> buf) : buf_(std::move(buf)) {}
+
   /// Pre-size the buffer when the frame size is known (message codecs
   /// compute it arithmetically via encoded_size()).
   void reserve(std::size_t n) { buf_.reserve(n); }
@@ -52,7 +74,8 @@ class DecodeError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Sequential byte source over a borrowed buffer.
+/// Sequential byte source over a borrowed buffer. Each fixed-width read
+/// is one bounds check and one little-endian load.
 class ByteReader {
  public:
   ByteReader(const std::uint8_t* data, std::size_t size)
@@ -60,10 +83,13 @@ class ByteReader {
   explicit ByteReader(const std::vector<std::uint8_t>& buf)
       : ByteReader(buf.data(), buf.size()) {}
 
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
+  std::uint8_t u8() {
+    need(1);
+    return data_[pos_++];
+  }
+  std::uint16_t u16() { return read<std::uint16_t>(); }
+  std::uint32_t u32() { return read<std::uint32_t>(); }
+  std::uint64_t u64() { return read<std::uint64_t>(); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   std::string str();
 
@@ -71,7 +97,19 @@ class ByteReader {
   [[nodiscard]] bool done() const { return pos_ == size_; }
 
  private:
-  void need(std::size_t n);
+  void need(std::size_t n) {
+    if (size_ - pos_ < n) [[unlikely]]
+      truncated();
+  }
+  [[noreturn]] static void truncated();
+
+  template <typename T>
+  T read() {
+    need(sizeof(T));
+    const T v = load_le<T>(data_ + pos_);
+    pos_ += sizeof(T);
+    return v;
+  }
 
   const std::uint8_t* data_;
   std::size_t size_;

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <system_error>
 
@@ -65,7 +66,17 @@ std::uint64_t EventLoop::schedule_cancellable(Duration delay,
 }
 
 void EventLoop::cancel_timer(std::uint64_t id) {
-  if (id < timer_seq_) cancelled_timers_.insert(id);
+  // A linear find: the heap holds a handful of timers (the heartbeat, an
+  // ack timer per connection, re-dials).
+  const auto it = std::find_if(timers_.begin(), timers_.end(),
+                               [id](const Timer& t) { return t.seq == id; });
+  if (it == timers_.end()) return;
+  // Remove it in place: make it the earliest entry, sift it up within the
+  // prefix that ends at it (a prefix of a heap is a heap), then pop it.
+  it->due = std::numeric_limits<TimePoint>::min();
+  std::push_heap(timers_.begin(), it + 1, std::greater<>{});
+  std::pop_heap(timers_.begin(), timers_.end(), std::greater<>{});
+  timers_.pop_back();
 }
 
 TimePoint EventLoop::now() const {
@@ -75,27 +86,35 @@ TimePoint EventLoop::now() const {
 }
 
 void EventLoop::drain_posted() {
-  std::vector<std::function<void()>> batch;
   {
     const std::lock_guard<std::mutex> guard(posted_mutex_);
-    batch.swap(posted_);
+    draining_.swap(posted_);
   }
-  for (auto& fn : batch) fn();
+  for (auto& fn : draining_) fn();
+  draining_.clear();
 }
 
 void EventLoop::fire_due_timers() {
-  // Only timers that were due when the pass began: a callback that
-  // re-arms itself with zero delay must wait for the next pass, or it
-  // would starve polling and posted tasks for as long as it keeps going.
-  const TimePoint pass_now = now();
-  const std::uint64_t pass_seq = timer_seq_;
-  while (!timers_.empty() && timers_.front().due <= pass_now &&
-         timers_.front().seq < pass_seq) {
+  // Only timers that were due when this round's timer phase began: a
+  // callback that re-arms itself with zero delay waits for the next round,
+  // so posted tasks interleave with it and the round cap bounds the pass.
+  const TimePoint round_now = now();
+  const std::uint64_t round_seq = timer_seq_;
+  while (!timers_.empty() && timers_.front().due <= round_now &&
+         timers_.front().seq < round_seq) {
     std::pop_heap(timers_.begin(), timers_.end(), std::greater<>{});
     Timer due = std::move(timers_.back());
     timers_.pop_back();
-    if (cancelled_timers_.erase(due.seq) != 0) continue;
     due.fn();
+  }
+}
+
+void EventLoop::run_rounds() {
+  for (int round = 0; round < kMaxRoundsPerPass; ++round) {
+    const bool timer_due = !timers_.empty() && timers_.front().due <= now();
+    if (!timer_due && !has_posted()) return;  // quiescent
+    drain_posted();
+    fire_due_timers();
   }
 }
 
@@ -125,8 +144,10 @@ void EventLoop::run() {
       order.push_back(fd);
     }
     // Tasks posted from this thread since the last drain wrote no wake
-    // byte: do not block while they wait.
+    // byte: do not block while they wait. (They, or a due timer, are left
+    // over only when the round cap cut the last pass short.)
     const int timeout = has_posted() ? 0 : next_timeout_ms();
+    polls_.fetch_add(1, std::memory_order_relaxed);
     const int rc = ::poll(fds.data(), fds.size(), timeout);
     if (rc < 0) {
       if (errno == EINTR) continue;
@@ -137,6 +158,9 @@ void EventLoop::run() {
       while (::read(wake_fds_[0], sink, sizeof sink) > 0) {
       }
     }
+    // One round before the fds it reported: a task posted before poll()
+    // returned (installing a handler, say) takes effect before any traffic
+    // its poster went on to cause is dispatched.
     drain_posted();
     fire_due_timers();
     for (std::size_t i = 0; i < order.size(); ++i) {
@@ -153,6 +177,8 @@ void EventLoop::run() {
       if (revents & POLLNVAL) unwatch(order[i]);
       fn(static_cast<std::uint32_t>(revents));
     }
+    run_rounds();
+    if (pass_end_) pass_end_();
   }
   drain_posted();
   running_.store(false);

@@ -3,9 +3,22 @@
 // I/O for that node live on the loop thread, which keeps the engines'
 // single-threaded contract without any locking inside the protocol.
 //
-// Wake rule: run() polls with timeout 0 while the posted queue is
-// non-empty, so a post made on the loop thread never writes the self-pipe.
-// A post or stop() from another thread always writes one wake byte.
+// One pass of run():
+//   1. poll() the watched fds and the wake pipe;
+//   2. run one round (below), so a task posted before an fd event its
+//      poster caused runs before that event is dispatched;
+//   3. dispatch every fd that is ready;
+//   4. run rounds until nothing is due: each round runs the tasks posted
+//      so far, then the timers already due once those have run. At
+//      most kMaxRoundsPerPass rounds run, so work that keeps re-arming
+//      itself with zero delay yields to the fds at least that often;
+//   5. call the pass-end hook (TcpNode flushes the connections the pass
+//      dirtied), then poll again.
+//
+// Wake rule: run() polls with timeout 0 while tasks are posted or a timer
+// is due (only after the round cap cut a pass short), so a post made on
+// the loop thread never writes the self-pipe. A post or stop() from
+// another thread always writes one wake byte.
 #pragma once
 
 #include <atomic>
@@ -15,7 +28,6 @@
 #include <functional>
 #include <map>
 #include <mutex>
-#include <set>
 #include <vector>
 
 #include "common/executor.hpp"
@@ -26,6 +38,10 @@ namespace hlock::net {
 class EventLoop final : public Executor {
  public:
   using IoFn = std::function<void(std::uint32_t revents)>;
+
+  /// Most rounds of posted tasks and due timers one pass runs before it
+  /// polls again (see the pass order above).
+  static constexpr int kMaxRoundsPerPass = 64;
 
   EventLoop();
   ~EventLoop() override;
@@ -49,8 +65,13 @@ class EventLoop final : public Executor {
   /// Like schedule(), but returns a token the caller may later pass to
   /// cancel_timer() (loop thread only). Tokens are never reused.
   std::uint64_t schedule_cancellable(Duration delay, std::function<void()> fn);
-  /// Drop a pending timer; a no-op if it already fired or was cancelled.
+  /// Drop a pending timer and its callback; a no-op if it already fired
+  /// or was cancelled.
   void cancel_timer(std::uint64_t id);
+
+  /// Run `fn` on the loop thread at the end of every pass, after the
+  /// last round and before the next poll. Set it before run().
+  void on_pass_end(std::function<void()> fn) { pass_end_ = std::move(fn); }
 
   /// Process events until stop() is called.
   void run();
@@ -65,12 +86,17 @@ class EventLoop final : public Executor {
   [[nodiscard]] std::uint64_t wakeups_written() const {
     return wakeups_written_.load(std::memory_order_relaxed);
   }
+  /// poll() calls made so far (tests pin the pass structure).
+  [[nodiscard]] std::uint64_t polls() const {
+    return polls_.load(std::memory_order_relaxed);
+  }
 
  private:
   void wake();
   [[nodiscard]] bool has_posted();
   void drain_posted();
   void fire_due_timers();
+  void run_rounds();
   [[nodiscard]] int next_timeout_ms() const;
 
   struct Timer {
@@ -89,12 +115,14 @@ class EventLoop final : public Executor {
   /// callback can be moved out of the back slot instead of copied.
   std::vector<Timer> timers_;
   std::uint64_t timer_seq_{0};
-  /// Tokens cancelled while still queued; entries are erased when the
-  /// matching heap entry pops (the heap itself has no random removal).
-  std::set<std::uint64_t> cancelled_timers_;
   std::mutex posted_mutex_;
   std::vector<std::function<void()>> posted_;
+  /// The batch drain_posted() is running; it and posted_ swap storage,
+  /// so steady-state posting reuses both vectors' capacity.
+  std::vector<std::function<void()>> draining_;
+  std::function<void()> pass_end_;
   std::atomic<std::uint64_t> wakeups_written_{0};
+  std::atomic<std::uint64_t> polls_{0};
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_requested_{false};
   std::atomic<std::thread::id> loop_thread_{};

@@ -1,25 +1,33 @@
 #include "net/framing.hpp"
 
 #include <cstring>
+#include <utility>
 
 namespace hlock::net {
 
-std::vector<std::uint8_t> frame(const Message& m, std::uint64_t seq,
-                                std::uint64_t ack) {
-  // encoded_size() is exact, so prefix, sequence number, ack slot, and
-  // payload go into one buffer with a single allocation (ByteWriter::u32
-  // is little-endian, matching the prefix FrameDecoder expects). Every
-  // frame is emitted in the v2 layout: the ack slot is always present so
-  // TcpNode can stamp a cumulative ack into a queued frame in place
-  // (kAckFieldOffset) without re-encoding.
+void append_frame(std::vector<std::uint8_t>& out, const Message& m,
+                  std::uint64_t seq, std::uint64_t ack) {
+  // Prefix, sequence number, ack slot and payload go into one buffer
+  // (ByteWriter::u32 is little-endian, matching the prefix FrameDecoder
+  // expects). Every frame is emitted in the v2 layout: the ack slot is
+  // always present so TcpNode can stamp a cumulative ack into a queued
+  // frame in place (kAckFieldOffset) without re-encoding.
   const std::size_t payload = encoded_size(m);
-  ByteWriter w;
-  w.reserve(payload + 20);
+  ByteWriter w(std::move(out));
   w.u32(static_cast<std::uint32_t>(payload + 16) | kAckFlagBit);
   w.u64(seq);
   w.u64(ack);
   encode_into(w, m);
-  return w.take();
+  out = w.take();
+}
+
+std::vector<std::uint8_t> frame(const Message& m, std::uint64_t seq,
+                                std::uint64_t ack) {
+  // encoded_size() is exact, so a lone frame costs a single allocation.
+  std::vector<std::uint8_t> out;
+  out.reserve(encoded_size(m) + 20);
+  append_frame(out, m, seq, ack);
+  return out;
 }
 
 std::vector<std::uint8_t> hello_frame(NodeId self, std::uint64_t epoch) {

@@ -83,6 +83,11 @@ inline constexpr std::uint8_t kViewCommit = 1;
 std::vector<std::uint8_t> frame(const Message& m, std::uint64_t seq = 0,
                                 std::uint64_t ack = 0);
 
+/// Append the frame() bytes to `out`, reusing its capacity: TcpNode
+/// encodes straight into a connection's outbox.
+void append_frame(std::vector<std::uint8_t>& out, const Message& m,
+                  std::uint64_t seq, std::uint64_t ack);
+
 /// Build the handshake control frame carrying `self` and this process's
 /// boot `epoch` (nonzero; lets the peer detect a restart and reset its
 /// per-peer sequence/dedup state).

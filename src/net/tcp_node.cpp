@@ -6,7 +6,6 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -61,7 +60,7 @@ std::uint64_t generate_epoch() {
   return e == 0 ? 1 : e;
 }
 
-/// frames_per_batch bucket for a writev that gathered `n` frames.
+/// frames_per_batch bucket for a batch write that gathered `n` frames.
 std::size_t batch_bucket(int n) {
   if (n <= 1) return 0;
   if (n <= 4) return 1;
@@ -102,6 +101,7 @@ TcpNode::TcpNode(NodeId self, std::uint16_t port, TcpConfig cfg)
   set_nonblocking(listen_fd_);
 
   loop_.watch(listen_fd_, POLLIN, [this](std::uint32_t) { on_listen_ready(); });
+  loop_.on_pass_end([this] { flush_dirty(); });
   // The heartbeat timer is armed from inside the loop once it runs; the
   // constructor may be on any thread.
   loop_.post([this] { arm_heartbeat(); });
@@ -343,11 +343,8 @@ void TcpNode::established(Connection& c, bool outbound) {
     stats_.accepts.fetch_add(1, kRelax);
   }
   queue_frame(c, hello_frame(self_, epoch_), /*control=*/true);
-  if (p != nullptr) {
-    resend_window(c, *p);  // flushes when the peer's window was non-empty
-    if (conns_.find(fd) == conns_.end()) return;  // flush may have closed
-  }
-  flush(c);
+  if (p != nullptr) resend_window(c, *p);
+  request_flush(c);
 }
 
 void TcpNode::register_peer(Peer& p, int fd) {
@@ -360,9 +357,8 @@ void TcpNode::register_peer(Peer& p, int fd) {
 
 void TcpNode::resend_window(Connection& c, Peer& p) {
   stats_.requeued_frames.fetch_add(p.link.connection_up(), kRelax);
-  if (p.link.window().empty()) return;
-  c.resend_next = p.link.window().front().seq;
-  flush(c);  // queues the resend a chunk at a time
+  // flush() queues the resend a chunk at a time; the caller requests it.
+  if (!p.link.window().empty()) c.resend_next = p.link.window().front().seq;
 }
 
 void TcpNode::continue_resend(Connection& c) {
@@ -383,7 +379,9 @@ void TcpNode::continue_resend(Connection& c) {
       c.resend_next = it->seq;
       return;
     }
-    queue_frame(c, frame(it->msg, it->seq));
+    const std::size_t begin = c.out.size();
+    append_frame(c.out, it->msg, it->seq, /*ack=*/0);
+    push_frame(c, begin, /*control=*/false);
   }
 }
 
@@ -425,18 +423,27 @@ void TcpNode::request_flush(Connection& c) {
     flush(c);
     return;
   }
-  // Defer to a zero-delay timer so every frame queued in this loop pass —
-  // a whole read burst's worth of engine replies sent inline, plus the
-  // sends posted from other threads — leaves in one vectored write.
-  if (c.flush_scheduled) return;
-  c.flush_scheduled = true;
-  const int fd = c.fd;
-  loop_.schedule(0, [this, fd] {
+  // Flush once at the end of this loop pass (flush_dirty), so every frame
+  // the pass queues — a read burst's engine replies sent inline, their
+  // zero-delay continuations, sends posted from other threads — leaves in
+  // one write.
+  if (c.dirty) return;
+  c.dirty = true;
+  dirty_.emplace_back(c.fd, c.serial);
+}
+
+void TcpNode::flush_dirty() {
+  // By index, so an entry added during the walk is flushed before the
+  // loop polls too.
+  for (std::size_t i = 0; i < dirty_.size(); ++i) {
+    const auto [fd, serial] = dirty_[i];
     const auto it = conns_.find(fd);
-    if (it == conns_.end()) return;
-    it->second->flush_scheduled = false;
+    // Closed in this pass, perhaps with its fd reused by a new connection.
+    if (it == conns_.end() || it->second->serial != serial) continue;
+    it->second->dirty = false;
     flush(*it->second);
-  });
+  }
+  dirty_.clear();
 }
 
 TcpNode::Connection* TcpNode::established_conn(NodeId peer) {
@@ -458,7 +465,9 @@ void TcpNode::queue_data(Connection& c, PeerLink& link,
     cancel_ack_timer(c);
     stats_.acks_piggybacked.fetch_add(1, kRelax);
   }
-  queue_frame(c, frame(entry.msg, entry.seq, ack));
+  const std::size_t begin = c.out.size();
+  append_frame(c.out, entry.msg, entry.seq, ack);
+  push_frame(c, begin, /*control=*/false);
 }
 
 PeerLink* TcpNode::link_of(const Connection& c) {
@@ -467,20 +476,30 @@ PeerLink* TcpNode::link_of(const Connection& c) {
   return it == peers_.end() ? nullptr : &it->second.link;
 }
 
-void TcpNode::queue_frame(Connection& c, std::vector<std::uint8_t> bytes,
+void TcpNode::queue_frame(Connection& c,
+                          const std::vector<std::uint8_t>& bytes,
                           bool control) {
-  c.outbox_bytes += bytes.size();
-  c.frames.push_back(OutFrame{std::move(bytes), control});
+  const std::size_t begin = c.out.size();
+  c.out.insert(c.out.end(), bytes.begin(), bytes.end());
+  push_frame(c, begin, control);
+}
+
+void TcpNode::push_frame(Connection& c, std::size_t begin, bool control) {
+  // The frame is the bytes appended to the outbox since `begin`.
+  const std::size_t size = c.out.size() - begin;
+  c.frames.push_back(OutFrame{begin, size, control});
+  c.outbox_bytes += size;
   bump_max(stats_.outbox_high_water, c.outbox_bytes);
 }
 
 bool TcpNode::try_stamp_queued_ack(Connection& c, PeerLink& link) {
-  // Skip the front frame when part of it is already on the wire — its
+  // Skip the head frame when part of it is already on the wire — its
   // header bytes may be sent, so stamping it would corrupt the stream.
-  for (std::size_t i = (c.front_pos > 0) ? 1 : 0; i < c.frames.size(); ++i) {
-    OutFrame& f = c.frames[i];
-    if (f.control || f.bytes.size() < kAckFieldOffset + 8) continue;
-    store_le(f.bytes.data() + kAckFieldOffset, link.take_ack());
+  for (std::size_t i = c.head + (c.front_pos > 0 ? 1 : 0);
+       i < c.frames.size(); ++i) {
+    const OutFrame& f = c.frames[i];
+    if (f.control || f.size < kAckFieldOffset + 8) continue;
+    store_le(c.out.data() + f.begin + kAckFieldOffset, link.take_ack());
     return true;
   }
   return false;
@@ -507,7 +526,7 @@ void TcpNode::arm_ack_timer(Connection& c) {
         // A data frame may have carried the ack in the meantime.
         if (link == nullptr || !link->ack_due()) return;
         queue_standalone_ack(c2, *link);
-        flush(c2);
+        request_flush(c2);
       });
 }
 
@@ -519,35 +538,38 @@ void TcpNode::cancel_ack_timer(Connection& c) {
 
 void TcpNode::flush(Connection& c) {
   if (c.connecting) return;
+  // One resend chunk per call. Between chunks the loop polls, reads and
+  // runs its timers (POLLOUT brings the flush back at once): a peer that
+  // drains a multi-megabyte window as fast as it is written would
+  // otherwise keep this call, and the loop, busy until the idle check
+  // reaps the silent-looking connection and the resend starts over.
+  bool refilled = false;
   for (;;) {
-    if (c.resend_next != 0 && c.outbox_bytes < kResendChunkBytes)
+    if (!refilled && c.resend_next != 0 &&
+        c.outbox_bytes < kResendChunkBytes) {
       continue_resend(c);
-    if (c.frames.empty()) break;
-    // Gather the head of the queue into one vectored write: up to
-    // kMaxBatchFrames iovecs or max_batch_bytes, whichever comes first
-    // (max_batch_bytes == 0 pins every batch to a single frame — the
-    // measurement baseline). sendmsg is writev plus MSG_NOSIGNAL.
-    struct iovec iov[kMaxBatchFrames];
-    int iovcnt = 0;
+      refilled = true;
+    }
+    if (c.head == c.frames.size()) break;
+    // The batch is the head of the queue: up to kMaxBatchFrames frames or
+    // max_batch_bytes, whichever comes first (max_batch_bytes == 0 pins
+    // every batch to a single frame — the measurement baseline). Queued
+    // bytes are contiguous, so a batch is one send.
+    int batch_frames = 0;
     std::size_t batch_bytes = 0;
-    for (std::size_t i = 0; i < c.frames.size() && iovcnt < kMaxBatchFrames;
-         ++i) {
-      OutFrame& f = c.frames[i];
-      const std::size_t off = (i == 0) ? c.front_pos : 0;
-      iov[iovcnt].iov_base = f.bytes.data() + off;
-      iov[iovcnt].iov_len = f.bytes.size() - off;
-      batch_bytes += iov[iovcnt].iov_len;
-      ++iovcnt;
+    for (std::size_t i = c.head;
+         i < c.frames.size() && batch_frames < kMaxBatchFrames; ++i) {
+      batch_bytes += c.frames[i].size - (i == c.head ? c.front_pos : 0);
+      ++batch_frames;
       if (cfg_.max_batch_bytes == 0 || batch_bytes >= cfg_.max_batch_bytes)
         break;
     }
-    msghdr mh{};
-    mh.msg_iov = iov;
-    mh.msg_iovlen = static_cast<std::size_t>(iovcnt);
-    const ssize_t n = ::sendmsg(c.fd, &mh, MSG_NOSIGNAL);
+    const std::uint8_t* from =
+        c.out.data() + c.frames[c.head].begin + c.front_pos;
+    const ssize_t n = ::send(c.fd, from, batch_bytes, MSG_NOSIGNAL);
     if (n > 0) {
       stats_.batches_written.fetch_add(1, kRelax);
-      stats_.frames_per_batch[batch_bucket(iovcnt)].fetch_add(1, kRelax);
+      stats_.frames_per_batch[batch_bucket(batch_frames)].fetch_add(1, kRelax);
       stats_.bytes_out.fetch_add(static_cast<std::uint64_t>(n), kRelax);
       c.last_send = loop_.now();
       // Advance the frame cursor over whatever the kernel took; a short
@@ -556,13 +578,12 @@ void TcpNode::flush(Connection& c) {
       std::size_t left = static_cast<std::size_t>(n);
       c.outbox_bytes -= left;
       while (left > 0) {
-        OutFrame& f = c.frames.front();
-        const std::size_t remain = f.bytes.size() - c.front_pos;
+        const std::size_t remain = c.frames[c.head].size - c.front_pos;
         if (left >= remain) {
           left -= remain;
           c.front_pos = 0;
           stats_.frames_out.fetch_add(1, kRelax);
-          c.frames.pop_front();
+          ++c.head;
         } else {
           c.front_pos += left;
           left = 0;
@@ -572,6 +593,7 @@ void TcpNode::flush(Connection& c) {
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       // Kernel buffer full: wait for writability.
+      compact_outbox(c);
       watch_conn(c, /*want_write=*/true);
       return;
     }
@@ -579,9 +601,26 @@ void TcpNode::flush(Connection& c) {
     close_conn(c.fd);
     return;
   }
-  // Outbox drained: stop watching POLLOUT.
+  // Outbox drained: empty it for the next pass, and stop watching POLLOUT
+  // unless a resend has chunks left.
+  c.out.clear();
+  if (c.out.capacity() > 2 * kResendChunkBytes) c.out.shrink_to_fit();
+  c.frames.clear();
+  c.head = 0;
   c.front_pos = 0;
-  watch_conn(c, /*want_write=*/false);
+  watch_conn(c, /*want_write=*/c.resend_next != 0);
+}
+
+void TcpNode::compact_outbox(Connection& c) {
+  // Drop the sent prefix once it is at least as long as what is left, so
+  // a backlog draining over many writes moves each byte O(1) times.
+  const std::size_t sent = c.frames[c.head].begin;
+  if (sent == 0 || sent < c.out.size() - sent) return;
+  c.out.erase(c.out.begin(), c.out.begin() + static_cast<std::ptrdiff_t>(sent));
+  c.frames.erase(c.frames.begin(),
+                 c.frames.begin() + static_cast<std::ptrdiff_t>(c.head));
+  for (OutFrame& f : c.frames) f.begin -= sent;
+  c.head = 0;
 }
 
 void TcpNode::watch_conn(Connection& c, bool want_write) {
@@ -662,14 +701,14 @@ void TcpNode::on_conn_event(int fd, std::uint32_t revents) {
         if (try_stamp_queued_ack(c, *link)) {
           cancel_ack_timer(c);
           stats_.acks_piggybacked.fetch_add(1, kRelax);
-          flush(c);
+          request_flush(c);
           if (gone()) return;
         } else {
           arm_ack_timer(c);
         }
       } else {
         queue_standalone_ack(c, *link);
-        flush(c);
+        request_flush(c);
         if (gone()) return;
       }
     }
@@ -733,6 +772,7 @@ void TcpNode::handle_frame(Connection& c, const DecodedFrame& f) {
         if (inbound_first) {  // inbound link: now we know who dialed us
           register_peer(p, c.fd);
           resend_window(c, p);
+          if (c.resend_next != 0) request_flush(c);
         }
         return;
       }
@@ -872,7 +912,7 @@ void TcpNode::on_heartbeat() {
         t - c.last_send >= cfg_.heartbeat_interval) {
       stats_.heartbeats_sent.fetch_add(1, kRelax);
       queue_frame(c, ping_frame(), /*control=*/true);
-      flush(c);  // may close the connection; `c` is not touched after
+      request_flush(c);  // may close the connection; `c` is not touched after
     }
   }
   if (cfg_.suspect_timeout > 0) check_suspects(t);

@@ -28,13 +28,20 @@
 //    deadline bounds a stuck non-blocking connect().
 //
 // Throughput (the batching/pipelining layer):
-//  - Queued frames for a peer are gathered into a single writev() — iovec
-//    batching up to max_batch_bytes per syscall, partial writes carried
-//    over. flush() keeps writing until the outbox drains or the kernel
-//    says EAGAIN, so a short write never costs an extra poll round trip.
-//  - A send on the loop thread queues its frame at once; the flush waits
-//    for a zero-delay timer, so every frame queued in one loop pass
-//    leaves together. Loop-thread work never goes through the wake pipe.
+//  - Frames are encoded straight into their connection's outbox, one
+//    contiguous buffer reused from pass to pass, so a frame costs no heap
+//    allocation of its own. A flush sends up to max_batch_bytes (or
+//    kMaxBatchFrames frames) per syscall, partial writes carried over,
+//    and keeps sending until the outbox drains or the kernel says EAGAIN,
+//    so a short write never costs an extra poll round trip. A window
+//    resend is queued one kResendChunkBytes chunk per flush.
+//  - A send on the loop thread queues its frame at once and puts the
+//    connection on the dirty list. The loop's pass-end hook flushes each
+//    dirty connection once, after the pass has run everything due and
+//    before it polls again, so every frame queued in one pass — a read
+//    burst's replies, their zero-delay continuations, sends posted from
+//    other threads — leaves in one write. Loop-thread work never goes
+//    through the wake pipe.
 //  - One readiness event costs one recv() unless the 64 KiB buffer fills:
 //    a short read means the socket is drained, and poll is level-triggered.
 //  - Under bidirectional load, cumulative acks ride inside queued data
@@ -45,13 +52,13 @@
 
 #include <cstdint>
 #include <atomic>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -87,9 +94,9 @@ struct TcpConfig {
   /// facade cannot retry (engines are callback-driven), so there a
   /// rejected send is dropped and counted in stats().sends_rejected.
   std::size_t send_window_limit{0};
-  /// Gather queued frames into one writev() until the batch reaches this
-  /// many bytes (or kMaxBatchFrames iovecs). 0 disables coalescing: every
-  /// writev carries exactly one frame (the measurement baseline).
+  /// Gather queued frames into one write until the batch reaches this
+  /// many bytes (or kMaxBatchFrames frames). 0 disables coalescing: every
+  /// write carries exactly one frame (the measurement baseline).
   std::size_t max_batch_bytes{256 * 1024};
   /// Ack piggybacking: instead of answering every read burst with a
   /// standalone kAck control frame, stamp the cumulative ack into a
@@ -128,8 +135,8 @@ struct TcpStats {
   std::uint64_t sends_rejected{0};    ///< send() refusals (window cap hit)
   std::uint64_t outbox_high_water{0}; ///< max queued-unsent bytes, one conn
   std::uint64_t pending_high_water{0};///< max unacked frames, all peers
-  std::uint64_t batches_written{0};   ///< writev() calls that made progress
-  /// Frames gathered per successful writev(): buckets 1, 2–4, 5–16, ≥17.
+  std::uint64_t batches_written{0};   ///< batch writes that made progress
+  /// Frames gathered per successful batch write: buckets 1, 2–4, 5–16, ≥17.
   std::uint64_t frames_per_batch[kBatchHistBuckets]{};
   std::uint64_t acks_piggybacked{0};  ///< acks carried inside data frames
   std::uint64_t acks_standalone{0};   ///< standalone kAck frames queued
@@ -249,20 +256,23 @@ class TcpNode {
   void close_peer_connection(NodeId peer);
 
  private:
-  /// Cap on iovecs per writev() — comfortably below any IOV_MAX.
+  /// Cap on frames per batch write.
   static constexpr int kMaxBatchFrames = 64;
   /// Cap on 64 KiB recv() calls per readiness event (see on_conn_event).
   static constexpr int kMaxReadsPerEvent = 16;
   /// A window resend is encoded into the outbox this many bytes at a time
-  /// as it drains, so a large window never stalls the loop.
+  /// as it drains, so a large window never stalls the loop. An outbox
+  /// that grew past twice this much gives its storage back once drained.
   static constexpr std::size_t kResendChunkBytes = 256 * 1024;
 
-  /// One frame in a connection outbox. Each (re)send of a data frame is
-  /// encoded fresh from the link's window, and a piggybacked ack is stamped
-  /// only into these bytes, so it never rides along into a resend — where,
-  /// after the peer restarts, it would trim the new incarnation's window.
+  /// One frame in a connection outbox: where its bytes sit in
+  /// Connection::out. Each (re)send of a data frame is encoded fresh from
+  /// the link's window, and a piggybacked ack is stamped only into these
+  /// bytes, so it never rides along into a resend — where, after the peer
+  /// restarts, it would trim the new incarnation's window.
   struct OutFrame {
-    std::vector<std::uint8_t> bytes;
+    std::size_t begin{0};  ///< offset of its first byte in Connection::out
+    std::size_t size{0};
     bool control{false};
   };
 
@@ -276,12 +286,16 @@ class TcpNode {
     /// While one is pending, new sends wait in the window behind it.
     std::uint64_t resend_next{0};
     FrameDecoder decoder;
-    /// Pending output, oldest first; bytes [front_pos, front.size()) of
-    /// the first frame are still unsent, later frames entirely so.
-    std::deque<OutFrame> frames;
+    /// Pending output: the frames' bytes back to back in `out`, described
+    /// oldest first by frames[head..]. The first front_pos bytes of
+    /// frames[head] are already sent. Both vectors are emptied, keeping
+    /// their capacity, whenever the outbox drains.
+    std::vector<std::uint8_t> out;
+    std::vector<OutFrame> frames;
+    std::size_t head{0};
     std::size_t front_pos{0};
     std::size_t outbox_bytes{0};  ///< total unsent bytes across frames
-    bool flush_scheduled{false};  ///< a coalescing flush is queued
+    bool dirty{false};            ///< on the dirty list (flushed at pass end)
     bool watching_write{false};   ///< the loop watch includes POLLOUT
     bool ack_timer_pending{false};  ///< piggyback fallback timer armed
     std::uint64_t ack_timer_id{0};
@@ -328,6 +342,8 @@ class TcpNode {
   void on_conn_event(int fd, std::uint32_t revents);
   void on_connect_ready(int fd, std::uint32_t revents);
   void flush(Connection& c);
+  void flush_dirty();
+  void compact_outbox(Connection& c);
   void watch_conn(Connection& c, bool want_write);
   void close_conn(int fd);
   Connection* established_conn(NodeId peer);
@@ -339,8 +355,9 @@ class TcpNode {
   void register_peer(Peer& p, int fd);
   void resend_window(Connection& c, Peer& p);
   void continue_resend(Connection& c);
-  void queue_frame(Connection& c, std::vector<std::uint8_t> bytes,
+  void queue_frame(Connection& c, const std::vector<std::uint8_t>& bytes,
                    bool control = false);
+  void push_frame(Connection& c, std::size_t begin, bool control);
   void queue_data(Connection& c, PeerLink& link,
                   const PeerLink::Pending& entry);
   PeerLink* link_of(const Connection& c);
@@ -367,6 +384,9 @@ class TcpNode {
   std::map<NodeId, Peer> peers_;
   std::map<int, std::unique_ptr<Connection>> conns_;  ///< by fd
   std::uint64_t conn_serial_{0};  ///< last Connection::serial handed out
+  /// Connections to flush at the end of this loop pass, as (fd, serial):
+  /// one may close in the pass and its fd be reused by a new one.
+  std::vector<std::pair<int, std::uint64_t>> dirty_;
   /// Total entries across all peers' link windows (loop thread writes, any
   /// thread reads via unacked()).
   std::atomic<std::size_t> unacked_frames_{0};

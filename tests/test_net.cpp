@@ -1,6 +1,10 @@
 // Real-socket substrate tests: framing, event loop, TcpNode mesh delivery.
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -257,6 +261,114 @@ TEST(EventLoop, SelfReArmingZeroDelayTimerDoesNotStarvePostedTasks) {
   EXPECT_EQ(rounds, kRounds);
   EXPECT_GT(seen_at, 0u);
   EXPECT_LT(seen_at, kRounds);
+}
+
+TEST(EventLoop, PassRunsDueWorkToQuiescenceBeforePolling) {
+  // A chain of loop-thread posts and zero-delay timers, each step arming
+  // the next. A pass runs up to kMaxRoundsPerPass rounds of due work
+  // before it polls again, so the chain costs one poll per cap's worth of
+  // steps, not one per step. It starts from a timer armed before run(),
+  // so nothing wakes the loop from outside.
+  constexpr int kSteps = 1000;
+  constexpr int kCap = EventLoop::kMaxRoundsPerPass;
+  EventLoop loop;
+  int ran = 0;
+  std::uint64_t polls_at_end = 0;
+  std::function<void(int)> step = [&](int i) {
+    ++ran;
+    if (i == kSteps) {
+      polls_at_end = loop.polls();
+      loop.stop();
+    } else if (i % 3 == 0) {
+      loop.schedule(0, [&, i] { step(i + 1); });
+    } else {
+      loop.post([&, i] { step(i + 1); });
+    }
+  };
+  loop.schedule(0, [&] { step(1); });
+  std::thread t([&] { loop.run(); });
+  t.join();
+  EXPECT_EQ(ran, kSteps);
+  EXPECT_LE(polls_at_end, static_cast<std::uint64_t>((kSteps + kCap - 1) / kCap + 2));
+  EXPECT_EQ(loop.wakeups_written(), 0u);
+}
+
+TEST(EventLoop, SelfReArmingZeroDelayTimerDoesNotStarveAReadableFd) {
+  // The round cap ends a pass even while a zero-delay timer keeps
+  // re-arming itself, so a socket the chain makes readable is dispatched
+  // within about one pass's worth of rounds, long before the chain ends.
+  constexpr std::uint64_t kRounds = 100'000;
+  constexpr std::uint64_t kWriteAt = 10;
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  EventLoop loop;
+  std::uint64_t rounds = 0;
+  std::uint64_t seen_at = 0;
+  loop.watch(sv[0], POLLIN, [&](std::uint32_t) {
+    char byte = 0;
+    EXPECT_EQ(::read(sv[0], &byte, 1), 1);
+    seen_at = rounds;
+    loop.unwatch(sv[0]);
+  });
+  std::function<void()> tick = [&] {
+    if (++rounds == kWriteAt) {
+      const char byte = 1;
+      EXPECT_EQ(::write(sv[1], &byte, 1), 1);
+    }
+    if (rounds < kRounds) {
+      loop.schedule(0, tick);
+    } else {
+      loop.stop();
+    }
+  };
+  loop.schedule(0, tick);
+  std::thread t([&] { loop.run(); });
+  t.join();
+  ::close(sv[0]);
+  ::close(sv[1]);
+  EXPECT_EQ(rounds, kRounds);
+  EXPECT_GE(seen_at, kWriteAt);
+  EXPECT_LE(seen_at, kWriteAt + 2 * EventLoop::kMaxRoundsPerPass);
+}
+
+TEST(EventLoop, TaskPostedBeforeAnFdEventRunsBeforeItIsDispatched) {
+  // A poster often installs state and then causes traffic (set_handler,
+  // then a send that the peer answers). The loop is held in its pass-end
+  // hook while this thread posts and then makes a socket readable, so the
+  // next poll reports both at once: the post must still run first.
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  EventLoop loop;
+  std::atomic<bool> holding{false};
+  std::promise<void> release;
+  std::future<void> released = release.get_future();
+  bool held_once = false;
+  loop.on_pass_end([&] {
+    if (held_once) return;
+    held_once = true;
+    holding.store(true);
+    released.wait();
+  });
+  bool installed = false;
+  bool installed_at_dispatch = false;
+  loop.watch(sv[0], POLLIN, [&](std::uint32_t) {
+    char byte = 0;
+    EXPECT_EQ(::read(sv[0], &byte, 1), 1);
+    installed_at_dispatch = installed;
+    loop.stop();
+  });
+  loop.schedule(0, [] {});  // the first pass polls without blocking
+  std::thread t([&] { loop.run(); });
+  while (!holding.load())
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  loop.post([&] { installed = true; });
+  const char byte = 1;
+  ASSERT_EQ(::write(sv[1], &byte, 1), 1);
+  release.set_value();
+  t.join();
+  ::close(sv[0]);
+  ::close(sv[1]);
+  EXPECT_TRUE(installed_at_dispatch);
 }
 
 TEST(EventLoop, LoopThreadPostsNeverWriteTheWakePipe) {

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -667,6 +668,86 @@ TEST(TcpFaults, ResendAfterPeerRestartCarriesNoStaleAck) {
 
   node.loop().stop();
   loop.join();
+}
+
+// --- pass-end flush ------------------------------------------------------
+
+// Node 1's handler answers a trigger with K frames to node 0 and arms a
+// zero-delay continuation that sends one more. The continuation runs in
+// the same loop pass, and the pass ends with one flush of the dirty
+// connection: one write carries all K + 1 frames (the first also carries
+// the trigger's ack, so no standalone ack joins them).
+TEST(TcpFaults, OnePassWritesEachDirtyConnectionOnce) {
+  constexpr std::uint32_t kFrames = 5;
+  TcpConfig cfg = fast_cfg();
+  cfg.heartbeat_interval = 0;
+  cfg.idle_timeout = 0;
+  cfg.ack_piggyback_window = msec(1);
+  std::atomic<std::uint32_t> got{0};  // outlives the loop threads
+  InProcessCluster cluster(2, cfg);
+  TcpNode& n0 = cluster.node(0);
+  TcpNode& n1 = cluster.node(1);
+  n0.set_handler([&](const Message&) { got.fetch_add(1); });
+  n1.set_handler([&](const Message& m) {
+    if (m.lock.value != 1) return;  // the warm-up
+    for (std::uint32_t i = 0; i < kFrames; ++i)
+      n1.send(NodeId{0}, sample_message(100 + i));
+    n1.loop().schedule(0, [&] { n1.send(NodeId{0}, sample_message(200)); });
+  });
+  // Warm up until both links are quiet: the handshake is done and the
+  // warm-up's ack has come back.
+  n0.send(NodeId{1}, sample_message(0));
+  ASSERT_TRUE(spin_until(
+      [&] { return n1.delivered() == 1 && n0.unacked() == 0; }));
+  const TcpStats before = n1.stats();
+
+  n0.send(NodeId{1}, sample_message(1));
+  ASSERT_TRUE(spin_until([&] {
+    return got.load() == kFrames + 1 &&
+           n1.stats().frames_out == before.frames_out + kFrames + 1;
+  }));
+  const TcpStats after = n1.stats();
+  EXPECT_EQ(after.batches_written, before.batches_written + 1);
+  EXPECT_EQ(after.frames_out, before.frames_out + kFrames + 1);
+  EXPECT_EQ(after.acks_standalone, before.acks_standalone);
+  cluster.stop();
+}
+
+// A send and a close of the same connection in one callback: the send
+// leaves the connection on the pass's dirty list, and the close destroys
+// it. The pass-end flush must skip the stale entry (nothing is written),
+// and the frame must reach the peer exactly once over the next
+// connection.
+TEST(TcpFaults, SendThenCloseInOneCallbackResendsOnNextConnectionOnly) {
+  TcpConfig cfg = fast_cfg();
+  cfg.heartbeat_interval = 0;
+  cfg.idle_timeout = 0;
+  cfg.reconnect_min = msec(200);  // the re-dial waits until after the check
+  cfg.reconnect_max = msec(400);
+  DeliveryLog log;  // outlives the loop threads
+  InProcessCluster cluster(2, cfg);
+  cluster.node(0).set_handler(log.handler());
+  TcpNode& n1 = cluster.node(1);  // the dialing side
+  n1.send(NodeId{0}, sample_message(1));
+  ASSERT_TRUE(spin_until([&] { return log.size() == 1 && n1.unacked() == 0; }));
+  const TcpStats before = n1.stats();
+
+  std::promise<TcpStats> later;
+  n1.loop().post([&] {
+    n1.send(NodeId{0}, sample_message(2));
+    n1.close_peer_connection(NodeId{0});
+    // A later pass, well before the re-dial timer.
+    n1.loop().schedule(msec(20), [&] { later.set_value(n1.stats()); });
+  });
+  const TcpStats mid = later.get_future().get();
+  EXPECT_EQ(mid.frames_out, before.frames_out);
+  EXPECT_EQ(mid.bytes_out, before.bytes_out);
+  EXPECT_EQ(mid.batches_written, before.batches_written);
+
+  EXPECT_TRUE(spin_until([&] { return log.size() == 2 && n1.unacked() == 0; }));
+  EXPECT_TRUE(log.exactly_once(2));
+  EXPECT_EQ(n1.stats().requeued_frames, 1u);
+  cluster.stop();
 }
 
 // --- send-window backpressure -------------------------------------------

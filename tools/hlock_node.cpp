@@ -105,7 +105,7 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--view-retry-ms") {
       opt.view_retry_ms = parse_u32(arg, next());
     } else if (arg == "--max-batch-bytes") {
-      // Frame-coalescing cap per writev batch; 0 = one frame per syscall.
+      // Frame-coalescing cap per batch write; 0 = one frame per syscall.
       opt.tcp.max_batch_bytes = parse_u32(arg, next());
     } else if (arg == "--piggyback-ms") {
       // Ack piggyback window; 0 (default) = standalone acks only.
