@@ -1,16 +1,15 @@
 // Many-lock forest benchmark: 10^4..10^6 Zipf-skewed locks across a
-// forest of 3/4-level hierarchies, simulated on N shards in parallel
-// (sim::ShardedSimulator via harness::ManyLocksCluster).
+// forest of 3/4-level hierarchies (harness::ManyLocksCluster). An
+// uncoupled forest is drained on N shards in parallel
+// (sim::ShardedSimulator); with --cross-tree-pct the forest runs on one
+// simulator and --shards has no effect.
 //
 // Output discipline: everything on stdout is deterministic — identical
 // bytes at any --shards / thread count, which is exactly what the CI
 // oracle step checks (`cmp` of --shards 1/2/8 runs). Wall-clock timing
 // (the only shard-dependent observable) goes to stderr:
 //
-//   [many-locks] shards=4 threads=4 rounds=812 wall_ms=93.1 ev/s=1.2e6
-//
-// rounds=0 is expected without --cross-tree-pct: an uncoupled forest
-// drains tree by tree on each shard, with no conservative windows.
+//   [many-locks] shards=4 threads=4 wall_ms=93.1 ev/s=1.2e6
 //
 //   ./many_locks                                   # defaults, table
 //   ./many_locks --shards 8 --lock-count 1000000   # big forest, 8 slabs
@@ -38,7 +37,9 @@ constexpr const char* kUsage =
     "         [--lock-count N] [--zipf T] [--shards N] [--ops N]\n"
     "         [--cross-tree-pct P] [--cross-tree-unordered]\n"
     "         [--clusters N] [--intra-latency-ms M]\n"
-    "         [--seed S] [--repeat N] [--json]\n";
+    "         [--seed S] [--repeat N] [--json]\n"
+    "  --shards applies to uncoupled forests; with --cross-tree-pct > 0\n"
+    "  every tree runs on one simulator.\n";
 
 }  // namespace
 
@@ -109,10 +110,6 @@ int main(int argc, char** argv) {
 
   ManyLocksResult r;
   double best_ms = 0;
-  std::uint64_t rounds = 0;
-  std::uint64_t cross_posts = 0;
-  std::uint64_t mailbox_events = 0;
-  std::uint64_t revalidations = 0;
   for (int i = 0; i < cli.repeat; ++i) {
     ManyLocksCluster cluster(cfg);
     const auto t0 = std::chrono::steady_clock::now();
@@ -121,22 +118,12 @@ int main(int argc, char** argv) {
     const double ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
     if (i == 0 || ms < best_ms) best_ms = ms;
-    rounds = cluster.rounds();
-    cross_posts = cluster.sharded().cross_posts();
-    mailbox_events = cluster.sharded().mailbox_events();
-    revalidations = cluster.sharded().window_revalidations();
     r = cluster.result();
   }
 
-  // Wall-clock facts are shard- and machine-dependent: stderr only. The
-  // cross-shard channel counters depend on the shard layout too (how
-  // many posts ride a mailbox vs insert directly), so they live here,
-  // not in the deterministic stdout report.
+  // Wall-clock facts are shard- and machine-dependent: stderr only.
   std::cerr << "[many-locks] shards=" << cfg.shards << " threads="
             << (cfg.run_threads == 0 ? cfg.shards : cfg.run_threads)
-            << " rounds=" << rounds << " cross_posts=" << cross_posts
-            << " mailbox_events=" << mailbox_events
-            << " window_revalidations=" << revalidations
             << " wall_ms=" << best_ms << " ev/s="
             << static_cast<double>(r.events) / (best_ms / 1000.0) << "\n";
 

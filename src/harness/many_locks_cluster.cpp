@@ -1,8 +1,6 @@
 #include "harness/many_locks_cluster.hpp"
 
-#include <algorithm>
 #include <deque>
-#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -25,6 +23,13 @@ std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
+}
+
+/// A coupled forest puts every tree on one simulator, so its cross-tree
+/// events need no channel between shards.
+std::size_t shard_count(const ManyLocksConfig& c) {
+  if (c.shards == 0) throw std::invalid_argument("need >= 1 shard");
+  return c.cross_tree_pct > 0.0 ? 1 : c.shards;
 }
 
 workload::ForestLayout make_layout(const ManyLocksConfig& c) {
@@ -60,7 +65,7 @@ struct ManyLocksCluster::TreeState {
     std::uint32_t req_tree{0};
     std::size_t req_node{0};
   };
-  /// Stream for cross-shard hop latencies and order keys; distinct from
+  /// Stream for cross-tree hop latencies and order keys; distinct from
   /// the net/gen streams so uncoupled runs stay byte-identical.
   Rng cross_rng{0};
   std::uint64_t cross_seq{0};
@@ -83,8 +88,8 @@ struct ManyLocksCluster::TreeState {
 };
 
 /// One in-flight multi-tree transaction. Phases alternate between the
-/// home shard and the partner shard but never run concurrently (strict
-/// hand-off via posted events), so plain members need no locking.
+/// home tree and the partner tree, handed off through keyed events on
+/// the forest's one simulator.
 struct ManyLocksCluster::CrossFlight {
   TreeState* home{nullptr};
   std::size_t node{0};
@@ -103,7 +108,7 @@ ManyLocksCluster::ManyLocksCluster(const ManyLocksConfig& config)
     : config_(config),
       layout_(make_layout(config)),
       zipf_(layout_.pages(), config.spec.zipf_theta),
-      sharded_(config.shards) {
+      sharded_(shard_count(config)) {
   if (config.nodes == 0) throw std::invalid_argument("need >= 1 node");
   if (config.cross_tree_pct < 0.0 || config.cross_tree_pct > 100.0)
     throw std::invalid_argument("cross_tree_pct must be in [0, 100]");
@@ -118,7 +123,7 @@ ManyLocksCluster::ManyLocksCluster(const ManyLocksConfig& config)
   trees_.reserve(config.trees);
   for (std::uint32_t t = 0; t < config.trees; ++t) {
     const std::size_t shard =
-        workload::ForestLayout::shard_of(t, config.shards);
+        workload::ForestLayout::shard_of(t, sharded_.shard_count());
     auto tree = std::make_unique<TreeState>(sharded_.shard(shard), t);
     tree->shard = shard;
     std::unique_ptr<sim::LatencyModel> lat;
@@ -217,7 +222,7 @@ void ManyLocksCluster::run_one_op(TreeState& tree, std::size_t node) {
 
 // --- multi-tree transactions -----------------------------------------
 //
-// Flow (each arrow is a posted cross-shard event or a session callback):
+// Flow (each arrow is a keyed cross-tree event or a session callback):
 //
 //   home node: acquire first tree's plan
 //     -> post leg to partner gateway (hop latency, keyed)
@@ -225,7 +230,7 @@ void ManyLocksCluster::run_one_op(TreeState& tree, std::size_t node) {
 //     -> post reply to home (hop latency, keyed)
 //     -> home acquires the second plan if the leg went first
 //     -> dwell cs on the home simulator
-//     -> release: home session synchronously, gateway via a posted event
+//     -> release: home session synchronously, gateway via a keyed event
 //     -> op complete; kick the node's next op
 //
 // Ordered mode acquires the lower tree id first (total order -> no
@@ -271,11 +276,11 @@ void ManyLocksCluster::post_leg(const std::shared_ptr<CrossFlight>& fl) {
   TreeState& remote = *fl->remote;
   fl->leg_id = make_key(home);
   home.waiting_gateway[fl->node] = remote.index;
-  sharded_.post(home.shard, remote.shard, home.sim->now() + sample_hop(home),
-                fl->leg_id, [this, fl] {
-                  fl->remote->gw_queue.push_back(fl);
-                  gateway_pump(*fl->remote);
-                });
+  remote.sim->schedule_cross_at(home.sim->now() + sample_hop(home),
+                                fl->leg_id, [this, fl] {
+                                  fl->remote->gw_queue.push_back(fl);
+                                  gateway_pump(*fl->remote);
+                                });
 }
 
 void ManyLocksCluster::gateway_pump(TreeState& tree) {
@@ -294,14 +299,14 @@ void ManyLocksCluster::gateway_pump(TreeState& tree) {
         remote.gw_held = TreeState::HeldLeg{fl->leg_id, fl->home->index,
                                             fl->node};
         fl->lock_requests += r.lock_requests;
-        // Reply: the requester resumes on its own shard, one hop later.
-        sharded_.post(remote.shard, fl->home->shard,
-                      remote.sim->now() + sample_hop(remote), make_key(remote),
-                      [this, fl] {
-                        fl->home->waiting_gateway[fl->node] = -1;
-                        if (fl->home_first) begin_dwell(fl);
-                        else acquire_home(fl);
-                      });
+        // Reply: the requester resumes on its own tree, one hop later.
+        fl->home->sim->schedule_cross_at(
+            remote.sim->now() + sample_hop(remote), make_key(remote),
+            [this, fl] {
+              fl->home->waiting_gateway[fl->node] = -1;
+              if (fl->home_first) begin_dwell(fl);
+              else acquire_home(fl);
+            });
       });
 }
 
@@ -322,12 +327,12 @@ void ManyLocksCluster::begin_dwell(const std::shared_ptr<CrossFlight>& fl) {
 void ManyLocksCluster::finish_cross_op(const std::shared_ptr<CrossFlight>& fl) {
   TreeState& home = *fl->home;
   TreeState& remote = *fl->remote;
-  // Release both legs. The gateway's unlock is a posted event (it lands
+  // Release both legs. The gateway's unlock is a keyed event (it lands
   // one hop later in virtual time, like a real release message would);
   // the home session unlocks synchronously.
-  sharded_.post(home.shard, remote.shard, home.sim->now() + sample_hop(home),
-                make_key(home),
-                [this, fl] { gateway_release(*fl->remote, fl->leg_id); });
+  remote.sim->schedule_cross_at(
+      home.sim->now() + sample_hop(home), make_key(home),
+      [this, fl] { gateway_release(*fl->remote, fl->leg_id); });
   home.sessions[fl->node]->release(0);
 
   ++home.completed;
@@ -341,40 +346,28 @@ void ManyLocksCluster::finish_cross_op(const std::shared_ptr<CrossFlight>& fl) {
 }
 
 Duration ManyLocksCluster::sample_hop(TreeState& src) {
-  // Cross-shard hops mirror the flat network's uniform distribution; its
-  // floor (mean / 2) participates in the lookahead() derivation, which
-  // is what makes every posted arrival land beyond the window it was
-  // sent in.
+  // Cross-tree hops mirror the flat network's uniform distribution.
   const Duration mean = config_.spec.net_latency_mean;
   return src.cross_rng.uniform(mean / 2, mean + mean / 2);
 }
 
 std::uint64_t ManyLocksCluster::make_key(TreeState& src) {
   // Deterministic cross-event order key: (source tree, per-tree counter)
-  // — unique and shard-invariant, so the simulator's (t, key) order is
-  // independent of whether the event crossed a shard boundary.
+  // — unique, so the simulator's (t, key) order never depends on when
+  // the event was scheduled.
   return (static_cast<std::uint64_t>(src.index) << 32) | ++src.cross_seq;
 }
 
-Duration ManyLocksCluster::lookahead() const {
-  Duration m = std::numeric_limits<Duration>::max();
-  for (const auto& tree : trees_) m = std::min(m, tree->net->latency_min());
-  if (coupling_) m = std::min(m, config_.spec.net_latency_mean / 2);
-  // run_until() is inclusive of its horizon, so the safe window sits
-  // STRICTLY below the minimum latency: an event sent inside (T, H] must
-  // arrive after H.
-  return m > 0 ? m - 1 : 0;
-}
-
 void ManyLocksCluster::run() {
-  const std::size_t threads =
-      config_.run_threads == 0 ? config_.shards : config_.run_threads;
   if (coupling_) {
+    // Every tree shares the one simulator (see shard_count).
     for (auto& tree : trees_) {
       for (std::size_t i = 0; i < config_.nodes; ++i) kick(*tree, i);
     }
-    sharded_.run_all(lookahead(), threads);
+    sharded_.shard(0).run_all();
   } else {
+    const std::size_t threads =
+        config_.run_threads == 0 ? config_.shards : config_.run_threads;
     // No event crosses a tree, so each shard drains its trees one at a
     // time from t = 0: only one tree's engines, index and network are hot
     // at once, and the output is the interleaved run's (see sharded.hpp).

@@ -7,26 +7,25 @@
 // invariant to the shard count AND the thread count: result() merges
 // per-tree metrics in tree-index order, never per-shard. CI runs the same
 // workload at --shards 1/2/8 and byte-compares the output; that only
-// works because nothing shard-dependent (round counts, per-shard clocks)
-// leaks into ManyLocksResult.
+// works because nothing shard-dependent (per-shard clocks, worker
+// layout) leaks into ManyLocksResult.
 //
-// Uncoupled forests (cross_tree_pct == 0, the default) never post an
+// Uncoupled forests (cross_tree_pct == 0, the default) never schedule an
 // event across trees, so run() drains each shard's trees one at a time
 // (ShardedSimulator::drain_each): kick one tree's nodes, run its shard to
-// an empty queue, rewind the clock to 0, next tree. There are no rounds
-// (rounds() reads 0) and only one tree's engines, index and network are
-// hot at once. The output is the interleaved run's: inside one simulator
-// a tree's events are ordered by (t, seq), and their relative order does
-// not depend on whether other trees' events sit between them.
+// an empty queue, rewind the clock to 0, next tree. Only one tree's
+// engines, index and network are hot at once. The output is the
+// interleaved run's: inside one simulator a tree's events are ordered by
+// (t, seq), and their relative order does not depend on whether other
+// trees' events sit between them.
 //
-// Multi-tree transactions (cross_tree_pct > 0) couple the shards: an op
+// Multi-tree transactions (cross_tree_pct > 0) couple the trees: an op
 // acquires its plan in TWO hierarchies, the second through the partner
-// tree's *gateway* node. Gateway legs and replies travel as keyed
-// cross-shard events (ShardedSimulator::post), and the shards advance in
-// conservative windows (ShardedSimulator::run_all) with mailboxes and
-// window revalidation; lookahead() serves only this path. Invariance
-// then rests on the simulator's deterministic (t, key) event order
-// rather than on disjointness. Ordered mode acquires trees in tree-id
+// tree's *gateway* node. A coupled forest builds every tree on one
+// simulator, whatever `shards` and `run_threads` say, and run() drives it
+// with a single Simulator::run_all. Gateway legs, replies and releases
+// travel as keyed events (Simulator::schedule_cross_at), whose (t, key)
+// order keeps the run deterministic. Ordered mode acquires trees in tree-id
 // order (a total order — deadlock-free by construction); the opt-in
 // unordered mode always acquires the home tree first and can genuinely
 // deadlock, which run() detects via the forest-wide wait-for graph
@@ -61,9 +60,11 @@ struct ManyLocksConfig {
   std::size_t nodes{4};      ///< protocol participants per tree
   std::uint32_t trees{16};   ///< independent hierarchies in the forest
   std::uint32_t levels{4};   ///< 3 = top/collection/page, 4 adds a db level
-  std::size_t shards{1};     ///< event slabs; trees assigned tree % shards
-  /// Worker threads for the sharded run; 0 = one per shard. <= 1 runs the
-  /// serial oracle path.
+  /// Event slabs; trees assigned tree % shards. Uncoupled forests only: a
+  /// coupled forest (cross_tree_pct > 0) runs on one simulator.
+  std::size_t shards{1};
+  /// Worker threads draining the shards; 0 = one per shard, <= 1 drains
+  /// them in shard order on the calling thread. Uncoupled forests only.
   std::size_t run_threads{0};
   /// Percent of ops (0..100) that span two trees. 0 keeps the forest
   /// fully decoupled and byte-identical to pre-coupling builds.
@@ -74,8 +75,6 @@ struct ManyLocksConfig {
   /// Clustered per-tree topology: > 1 with intra_latency_mean > 0 wraps
   /// each tree's network in ClusteredLatency (block placement, intra
   /// uniform around intra_latency_mean, inter around net_latency_mean).
-  /// The derived lookahead then shrinks to the intra floor — the bug the
-  /// old hard-coded `net_latency_mean / 2` window got wrong.
   std::size_t clusters{0};
   Duration intra_latency_mean{0};
   /// spec.lock_count = total locks across the forest (split evenly per
@@ -117,20 +116,13 @@ class ManyLocksCluster {
   ~ManyLocksCluster();
 
   /// Drive every (tree, node) op stream to completion: tree by tree per
-  /// shard when uncoupled, in conservative windows when coupled (see the
+  /// shard when uncoupled, as one simulator run when coupled (see the
   /// file header). If the forest drains with ops outstanding, the
   /// wait-for graph decides the verdict:
   /// cycles found -> genuine application deadlock, recorded in
   /// deadlock_cycles() and result(), and run() returns normally; no
   /// cycle -> lost request, a harness/protocol bug, and run() throws.
   void run();
-
-  /// Conservative window of coupled runs, derived from the *models*: min
-  /// over every tree's network of min_latency(), min'd with the
-  /// cross-tree hop floor when coupling is on, minus one (run_until is
-  /// inclusive of its horizon, so the safe lookahead sits strictly below
-  /// the minimum latency).
-  [[nodiscard]] Duration lookahead() const;
 
   /// Instantaneous forest-wide wait-for graph: per-tree engine scans
   /// renamed into the global id space (tree * (nodes + 1) + local; the
@@ -151,7 +143,10 @@ class ManyLocksCluster {
   [[nodiscard]] const sim::ShardedSimulator& sharded() const {
     return sharded_;
   }
-  [[nodiscard]] std::uint64_t rounds() const { return sharded_.rounds(); }
+  /// Always 0: no run advances in rounds. Kept only for perfbench's
+  /// `sim.sharded.rounds` metric until ROADMAP item 11 drops it from the
+  /// benchmark.
+  [[nodiscard]] std::uint64_t rounds() const { return 0; }
 
  private:
   struct TreeState;

@@ -96,6 +96,10 @@ Message decode(const std::uint8_t* data, std::size_t size) {
   // A queue can never exceed the node count; 1M is a generous sanity bound
   // that keeps a corrupt length prefix from allocating gigabytes.
   if (n > 1'000'000) throw DecodeError("unreasonable queue length");
+  // Check the entries are there before reserving room for them, so a
+  // short frame cannot make a large allocation on its way to the error.
+  if (static_cast<std::size_t>(n) * kQueuedRequestBytes > r.remaining())
+    throw DecodeError("truncated buffer");
   m.queue.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) m.queue.push_back(get_queued(r));
   m.grant_seq = r.u64();

@@ -23,14 +23,6 @@ class LatencyModel {
   /// The distribution mean; the harness normalizes latencies by this to
   /// report the paper's "latency factor".
   [[nodiscard]] virtual Duration mean() const = 0;
-  /// Hard lower bound of the distribution's support: no sample() or
-  /// sample_pair() draw may ever come back below this. The sharded
-  /// simulator derives its conservative lookahead window from the
-  /// minimum over every model in the forest, so an optimistic bound here
-  /// is a correctness bug, not a tuning knob (SimNetwork debug-asserts
-  /// every sample against it). Pure virtual on purpose: a model that
-  /// cannot state its floor cannot be scheduled conservatively.
-  [[nodiscard]] virtual Duration min_latency() const = 0;
   /// Endpoint-aware sampling; flat models ignore the pair and MUST keep
   /// delegating to sample() so topology-free runs consume the identical
   /// RNG stream they always did (byte-identical oracle outputs).
@@ -45,7 +37,6 @@ class ConstantLatency final : public LatencyModel {
   explicit ConstantLatency(Duration m) : mean_(m) {}
   Duration sample(Rng&) override { return mean_; }
   [[nodiscard]] Duration mean() const override { return mean_; }
-  [[nodiscard]] Duration min_latency() const override { return mean_; }
 
  private:
   Duration mean_;
@@ -59,7 +50,6 @@ class UniformLatency final : public LatencyModel {
     return rng.uniform(mean_ / 2, mean_ + mean_ / 2);
   }
   [[nodiscard]] Duration mean() const override { return mean_; }
-  [[nodiscard]] Duration min_latency() const override { return mean_ / 2; }
 
  private:
   Duration mean_;
@@ -75,7 +65,6 @@ class ExponentialLatency final : public LatencyModel {
     return min_ + static_cast<Duration>(extra);
   }
   [[nodiscard]] Duration mean() const override { return mean_; }
-  [[nodiscard]] Duration min_latency() const override { return min_; }
 
  private:
   Duration mean_;
@@ -106,15 +95,6 @@ class ClusteredLatency final : public LatencyModel {
                                         : inter_->sample(rng);
   }
   [[nodiscard]] Duration mean() const override { return inter_->mean(); }
-  /// Any pair may route to either component, so the only safe floor is
-  /// the minimum of the two supports — with a cheap intra-cluster model
-  /// this dips far below inter/2, which is precisely why a lookahead
-  /// hard-coded from the flat mean is an unsafe window here.
-  [[nodiscard]] Duration min_latency() const override {
-    return intra_->min_latency() < inter_->min_latency()
-               ? intra_->min_latency()
-               : inter_->min_latency();
-  }
   [[nodiscard]] Duration intra_mean() const { return intra_->mean(); }
   [[nodiscard]] const ClusterMap& map() const { return *map_; }
 

@@ -1,7 +1,6 @@
 #include "sim/simnet.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <utility>
 
@@ -88,10 +87,6 @@ bool SimNetwork::transmit(NodeId from, NodeId to, Message m) {
   }
 
   const Duration flight = latency_->sample_pair(from, to, rng_);
-  // The sharded runner's conservative window is derived from this bound;
-  // a sample below it would silently corrupt cross-shard causality.
-  assert(flight >= latency_->min_latency() &&
-         "latency sample below the model's declared min_latency()");
   TimePoint arrive = sim_.now() + flight;
   // Per-channel FIFO: a message may not overtake an earlier one on the
   // same (from, to) pair. Senders need not be registered receivers (tests

@@ -73,11 +73,6 @@ class SimNetwork {
   /// would frame it), including dropped messages.
   [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_; }
   [[nodiscard]] Duration latency_mean() const { return latency_->mean(); }
-  /// Support floor of the installed model — the input to the sharded
-  /// runner's lookahead derivation (see LatencyModel::min_latency).
-  [[nodiscard]] Duration latency_min() const {
-    return latency_->min_latency();
-  }
 
   /// Clustered-topology accounting: every send is classified as intra- or
   /// cross-cluster by `map` (borrowed; must outlive the network) and

@@ -28,17 +28,7 @@ void Simulator::schedule_at(TimePoint t, EventFn fn) {
 
 void Simulator::schedule_cross_at(TimePoint t, std::uint64_t key,
                                   EventFn fn) {
-  if (key == 0) throw std::logic_error("cross events need a nonzero key");
-  if (t < now_) {
-    // The conservative window ran this shard's clock past `t` while it
-    // was idle. Nothing after last_executed_ has run, so accepting the
-    // event and rolling the idle clock back is exact; at or before
-    // last_executed_ the history already contradicts it.
-    if (t <= last_executed_)
-      throw std::logic_error(
-          "cross event inside the executed horizon (lookahead unsafe)");
-    now_ = t;
-  }
+  if (key == 0) throw std::logic_error("keyed events need a nonzero key");
   push_event(t, key).fn = std::move(fn);
 }
 
@@ -77,7 +67,6 @@ bool Simulator::step() {
   // their own fields.
   Event& ev = slot(key.slot);
   now_ = key.t;
-  last_executed_ = key.t;
   ++processed_;
   if (ev.deliver != nullptr) {
     ev.deliver(ev.ctx, ev.from, ev.to, ev.msg);
@@ -97,22 +86,9 @@ void Simulator::run_until(TimePoint deadline) {
   if (now_ < deadline) now_ = deadline;
 }
 
-std::uint64_t Simulator::run_until(TimePoint deadline,
-                                   std::uint64_t max_events) {
-  std::uint64_t n = 0;
-  while (!heap_.empty() && heap_.front().t <= deadline) {
-    if (n >= max_events) return n;  // budget exhausted mid-window
-    step();
-    ++n;
-  }
-  if (now_ < deadline) now_ = deadline;
-  return n;
-}
-
 void Simulator::rewind() {
   if (!heap_.empty()) throw std::logic_error("rewind with events queued");
   now_ = 0;
-  last_executed_ = kNever;
 }
 
 void Simulator::run_all(std::uint64_t max_events) {

@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -59,18 +58,13 @@ class Simulator {
   void schedule_at(TimePoint t, EventFn fn);
   /// Schedule `fn` `d` after the current virtual time.
   void schedule_after(Duration d, EventFn fn) { schedule_at(now_ + d, std::move(fn)); }
-  /// Schedule a *cross-shard* event with a deterministic order key
-  /// (`key` > 0, unique per event — the sharded runner derives it from
-  /// the source tree id and a per-source counter). Ordering is
-  /// insertion-time-independent: at equal timestamps every keyed event
-  /// runs after all local (key == 0) events and keyed events order among
-  /// themselves by key, so a run where the event is inserted directly at
-  /// send time (source and destination share a simulator) executes
-  /// identically to one where it arrives later through a round-barrier
-  /// mailbox drain. `t` may lie at or before now() when the conservative
-  /// window overshot an idle stretch — the idle clock rolls back, which
-  /// is sound because nothing after last_executed() has run; t at or
-  /// before last_executed() is a genuine causality violation and throws.
+  /// Schedule a *keyed* event with a deterministic order key (`key` > 0,
+  /// unique per event — the forest harness derives it from the source
+  /// tree id and a per-tree counter). At equal timestamps every keyed
+  /// event runs after all local (key == 0) events, and keyed events order
+  /// among themselves by key, not by insertion. The coupled forest's
+  /// cross-tree legs, replies and releases ride these, and its goldens
+  /// pin that order.
   void schedule_cross_at(TimePoint t, std::uint64_t key, EventFn fn);
   /// Schedule a message delivery at `t`: `fn(ctx, from, to, msg)` runs as
   /// the event, with `msg` moved into the event's slot and handed to `fn`
@@ -81,41 +75,19 @@ class Simulator {
   [[nodiscard]] TimePoint now() const { return now_; }
   [[nodiscard]] bool empty() const { return heap_.empty(); }
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
-  /// Timestamp of the last event actually executed (kNever before any).
-  /// run_until() advances now() to its deadline even past the last event,
-  /// so this — not now() — is the boundary a late cross-shard arrival
-  /// must stay strictly after to be causally safe.
-  static constexpr TimePoint kNever = std::numeric_limits<TimePoint>::min();
-  [[nodiscard]] TimePoint last_executed() const { return last_executed_; }
-
-  /// Timestamp of the earliest scheduled event, or kNoEvent when the queue
-  /// is empty. The sharded runner's conservative window computation peeks
-  /// this across shards to pick each round's horizon.
-  static constexpr TimePoint kNoEvent =
-      std::numeric_limits<TimePoint>::max();
-  [[nodiscard]] TimePoint next_event_time() const {
-    return heap_.empty() ? kNoEvent : heap_.front().t;
-  }
 
   /// Run the single earliest event. Returns false if none remain.
   bool step();
   /// Run until the queue drains or virtual time would pass `deadline`.
   void run_until(TimePoint deadline);
-  /// Budgeted variant: additionally stop after `max_events` events, even
-  /// with work still due at or before `deadline` (the sharded runner
-  /// plumbs its remaining global event budget through here so a
-  /// livelock inside one window cannot run away unboundedly). Returns
-  /// the number of events executed; now() advances to `deadline` only
-  /// when the window actually drained.
-  std::uint64_t run_until(TimePoint deadline, std::uint64_t max_events);
   /// Run until the queue drains (or the event cap trips, which indicates a
   /// livelock bug and throws).
   void run_all(std::uint64_t max_events = 500'000'000);
-  /// Restart virtual time on a drained simulator: now() reads 0 and
-  /// last_executed() kNever again, while the slab, heap and queue-buffer
-  /// pool keep their storage. Throws if any event is still queued. The
-  /// forest harness drains uncoupled trees one after another on one
-  /// simulator this way, each from t = 0.
+  /// Restart virtual time on a drained simulator: now() reads 0 again,
+  /// while the slab, heap and queue-buffer pool keep their storage.
+  /// Throws if any event is still queued. The forest harness drains
+  /// uncoupled trees one after another on one simulator this way, each
+  /// from t = 0.
   void rewind();
 
   /// Borrow an empty QueuedRequest buffer, reusing the capacity of a
@@ -160,9 +132,9 @@ class Simulator {
   };
   /// What the binary heap actually sifts: 32 bytes, trivially copyable.
   /// `key` is 0 for local events (ordered by insertion seq, as always)
-  /// and the deterministic cross-shard order key otherwise; at equal
-  /// timestamps locals run before crosses and crosses order by key, so
-  /// cross-event execution order never depends on insertion time.
+  /// and the deterministic order key of a keyed event otherwise; at equal
+  /// timestamps locals run before keyed events and keyed events order by
+  /// key, so their execution order never depends on insertion time.
   struct HeapKey {
     TimePoint t;
     std::uint64_t key;
@@ -195,7 +167,6 @@ class Simulator {
   /// Idle Message::queue storage (capacity retained, size zero).
   std::vector<std::vector<QueuedRequest>> queue_pool_;
   TimePoint now_{0};
-  TimePoint last_executed_{kNever};
   std::uint64_t next_seq_{0};
   std::uint64_t processed_{0};
 };

@@ -6,7 +6,8 @@
 // table, a token arriving at a warm engine builds no temporary container,
 // and the side record for cancels and recovery stays unallocated on paths
 // that use neither. Forests hold 10^5+ materialized engines, so these
-// counts set both their memory and their speed.
+// counts set both their memory and their speed. Decoding a frame whose
+// queue count overstates its length fails before it allocates the queue.
 //
 // This file overrides the global allocation functions to count heap
 // traffic (allocations and bytes). Each test file builds into its own
@@ -29,11 +30,13 @@ namespace {
 // Not atomic: the engines and these tests are single-threaded.
 std::uint64_t g_allocs = 0;
 std::uint64_t g_bytes = 0;
+std::size_t g_largest = 0;
 }  // namespace
 
 void* operator new(std::size_t n) {
   ++g_allocs;
   g_bytes += n;
+  if (n > g_largest) g_largest = n;
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
@@ -66,6 +69,14 @@ std::uint64_t bytes_during(Fn&& fn) {
   const std::uint64_t before = g_bytes;
   fn();
   return g_bytes - before;
+}
+
+/// Largest single heap allocation made while running `fn`.
+template <typename Fn>
+std::size_t largest_allocation_during(Fn&& fn) {
+  g_largest = 0;
+  fn();
+  return g_largest;
 }
 
 /// Records sends into pre-reserved storage, so sending allocates nothing
@@ -275,6 +286,25 @@ TEST(EngineFootprint, TokenArrivalAtWarmEngineAllocatesNothing) {
          "not build a temporary container";
   EXPECT_EQ(acquired, 2);
   EXPECT_TRUE(b.is_token_node());
+}
+
+TEST(EngineFootprint, OverstatedQueueCountFailsBeforeAllocating) {
+  // A token frame with no queue entries whose count field claims the
+  // 1,000,000 the decoder accepts at most: it must throw the truncation
+  // error without first reserving room for a million entries (~32 MB).
+  Message token;
+  token.kind = MsgKind::kToken;
+  std::vector<std::uint8_t> frame = encode(token);
+  ASSERT_EQ(frame.size(), kMessageFixedBytes);
+  // The u32 count sits just before grant_seq, rel_seq and view.
+  const std::size_t count_at = frame.size() - (8 + 8 + 4) - 4;
+  const std::uint32_t count = 1'000'000;
+  for (std::size_t i = 0; i < 4; ++i)
+    frame[count_at + i] = static_cast<std::uint8_t>(count >> (8 * i));
+  const std::size_t largest = largest_allocation_during([&] {
+    EXPECT_THROW((void)decode(frame.data(), frame.size()), DecodeError);
+  });
+  EXPECT_LT(largest, 4096u);
 }
 
 }  // namespace

@@ -151,32 +151,6 @@ TEST(ClusteredLatency, PairlessSampleAndMeanAreInterCluster) {
   EXPECT_EQ(model.intra_mean(), usec(50));
 }
 
-TEST(LatencyModel, MinLatencyIsTheSupportFloor) {
-  // min_latency() feeds the sharded simulator's conservative lookahead:
-  // it must be the hard floor of each distribution, and for the clustered
-  // composite the min over BOTH components — a cheap intra model drags it
-  // far below inter/2, which is why a lookahead hard-coded from the flat
-  // mean is unsafe on clustered topologies.
-  EXPECT_EQ(ConstantLatency(msec(150)).min_latency(), msec(150));
-  EXPECT_EQ(UniformLatency(msec(150)).min_latency(), msec(75));
-  EXPECT_EQ(ExponentialLatency(msec(150), msec(15)).min_latency(), msec(15));
-  const ClusterMap map = ClusterMap::make(8, 2, ClusterPlacement::kBlock);
-  ClusteredLatency clustered(&map, std::make_unique<UniformLatency>(usec(100)),
-                             std::make_unique<UniformLatency>(msec(150)));
-  EXPECT_EQ(clustered.min_latency(), usec(50));
-  EXPECT_LT(clustered.min_latency(), msec(150) / 2);
-}
-
-TEST(LatencyModel, SamplesNeverDipBelowMinLatency) {
-  Rng rng(10);
-  UniformLatency uni(msec(150));
-  ExponentialLatency exp(msec(150), msec(15));
-  for (int i = 0; i < 20000; ++i) {
-    EXPECT_GE(uni.sample(rng), uni.min_latency());
-    EXPECT_GE(exp.sample(rng), exp.min_latency());
-  }
-}
-
 TEST(ClusteredLatency, NullPiecesThrow) {
   const ClusterMap map = ClusterMap::make(4, 2, ClusterPlacement::kBlock);
   EXPECT_THROW(ClusteredLatency(nullptr,

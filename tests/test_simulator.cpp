@@ -31,6 +31,24 @@ TEST(Simulator, EqualTimesRunInInsertionOrder) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
+TEST(Simulator, KeyedEventsRunAfterLocalsInKeyOrder) {
+  // A local event and two keyed ones, all at t=100; the keyed ones are
+  // scheduled later (from an event at t=10) and with their keys in
+  // descending order. Locals (key 0) run first, then keyed events by
+  // key, whatever the insertion order.
+  Simulator s;
+  std::vector<int> order;
+  s.schedule_at(100, [&] { order.push_back(0); });
+  s.schedule_at(10, [&] {
+    s.schedule_cross_at(100, /*key=*/2, [&] { order.push_back(2); });
+    s.schedule_cross_at(100, /*key=*/1, [&] { order.push_back(1); });
+  });
+  s.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_THROW(s.schedule_cross_at(200, /*key=*/0, [] {}), std::logic_error);
+  EXPECT_THROW(s.schedule_cross_at(50, /*key=*/3, [] {}), std::logic_error);
+}
+
 TEST(Simulator, EventsMayScheduleMoreEvents) {
   Simulator s;
   int hits = 0;
