@@ -69,6 +69,49 @@ TEST(ShardedSimulator, DrainEachRethrowsAShardsError) {
   }
 }
 
+namespace {
+
+// A local event and two keyed ones (keys 2 then 1), all landing at t=100
+// on `s`; the keyed ones are scheduled later, from an event at t=10. This
+// is how a coupled forest delivers cross-tree legs on its one shard.
+void schedule_keyed_race(sim::Simulator& s, std::vector<int>& order) {
+  s.schedule_at(100, [&order] { order.push_back(0); });
+  s.schedule_at(10, [&s, &order] {
+    s.schedule_cross_at(100, /*key=*/2, [&order] { order.push_back(2); });
+    s.schedule_cross_at(100, /*key=*/1, [&order] { order.push_back(1); });
+  });
+}
+
+}  // namespace
+
+TEST(ShardedSimulator, CrossPostOrdersByKeyNotInsertionTime) {
+  // On a shard, locals (key 0) run first, then keyed events by key,
+  // regardless of insertion time and insertion order.
+  sim::ShardedSimulator sharded(1);
+  std::vector<int> order;
+  schedule_keyed_race(sharded.shard(0), order);
+  sharded.shard(0).run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(sharded.events_processed(), 4u);
+  EXPECT_EQ(sharded.mailbox_events(), 0u);  // no cross-shard mailboxes
+}
+
+TEST(ShardedSimulator, SameShardPostMatchesMailboxPost) {
+  // The keyed order does not depend on which shard runs it or on how many
+  // shards drain beside it: every shard of a parallel drain_each sees the
+  // order a lone shard sees.
+  const std::vector<int> expected{0, 1, 2};
+  sim::ShardedSimulator sharded(3);
+  std::vector<std::vector<int>> orders(3);
+  for (std::size_t i = 0; i < 3; ++i)
+    schedule_keyed_race(sharded.shard(i), orders[i]);
+  sharded.drain_each(3, [&](std::size_t shard) {
+    sharded.shard(shard).run_all();
+  });
+  for (const auto& order : orders) EXPECT_EQ(order, expected);
+  EXPECT_EQ(sharded.events_processed(), 3u * 4u);
+}
+
 TEST(ManyLocks, CompletesEveryOp) {
   const ManyLocksResult r = run_with(small_config(), 1);
   EXPECT_EQ(r.ops, 6u * 3 * 8);
